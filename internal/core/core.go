@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"minerule/internal/kernel/postproc"
@@ -614,11 +615,7 @@ func sortedGroups(groups map[int64]*mining.GroupData) []mining.GroupData {
 	for g := range groups {
 		gids = append(gids, g)
 	}
-	for i := 1; i < len(gids); i++ { // insertion sort: tiny, avoids an import
-		for j := i; j > 0 && gids[j] < gids[j-1]; j-- {
-			gids[j], gids[j-1] = gids[j-1], gids[j]
-		}
-	}
+	slices.Sort(gids)
 	out := make([]mining.GroupData, 0, len(gids))
 	for _, g := range gids {
 		out = append(out, *groups[g])

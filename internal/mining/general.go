@@ -1,6 +1,10 @@
 package mining
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // This file implements the general core processing of §4.3.2: rule
 // discovery over the m×n rule lattice, starting from elementary (1×1)
@@ -22,14 +26,14 @@ type Ctx struct {
 	HC int64 // head cluster
 }
 
-func ctxLess(a, b Ctx) bool {
-	if a.G != b.G {
-		return a.G < b.G
+func cmpCtx(a, b Ctx) int {
+	if c := cmp.Compare(a.G, b.G); c != 0 {
+		return c
 	}
-	if a.BC != b.BC {
-		return a.BC < b.BC
+	if c := cmp.Compare(a.BC, b.BC); c != 0 {
+		return c
 	}
-	return a.HC < b.HC
+	return cmp.Compare(a.HC, b.HC)
 }
 
 // GC is a (group, cluster) occurrence of an item in a role.
@@ -96,201 +100,328 @@ type GeneralInput struct {
 
 type pairKey struct{ b, h Item }
 
-// latticeRule is a rule under construction with its context list.
-type latticeRule struct {
-	body, head []Item
-	ctxs       []Ctx
-	gcount     int
-}
-
-// MineGeneral runs the rule-lattice algorithm with the strategy chosen
-// in opts (CanonicalPath by default).
+// MineGeneral runs the rule-lattice algorithm: a canonical unique-path
+// descent of the paper's m×n lattice. Bodies grow (in increasing item
+// order) while the head is a singleton; heads grow (in increasing item
+// order) at any body. Every m×n rule set is reached exactly once, and
+// since rule contexts shrink monotonically along any path, support
+// pruning is safe on this path too.
+//
+// The descent works on dense context ids: every distinct elementary
+// context is numbered in sorted order, so a rule's context list is a
+// sorted []int32 and its distinct-group count an array lookup per id.
+// A node grows only by joining with its frequent later siblings (Zaki's
+// Eclat classes): with H = P∪{x}, the rule (B, H∪{h}) can be frequent
+// only if its sibling (B, P∪{h}) is, and its contexts are then
+// ids(B,H) ∩ ids(B,P∪{h}) — one intersection per frequent sibling.
+// Bodies grow the same way under a singleton head. For a singleton head
+// the siblings are the frequent (B, {h'}), which the breadth-first
+// order has all enqueued before any node with body B is expanded. Only
+// lists that reach the support threshold are allocated.
 func MineGeneral(in *GeneralInput, opts Options) []Rule {
-	minCount := MinCount(opts.MinSupport, in.TotalGroups)
-
-	elem := elementaryContexts(in, minCount)
+	d := &descent{
+		in:       in,
+		opts:     opts,
+		minCount: MinCount(opts.MinSupport, in.TotalGroups),
+		bodyIdx:  make(map[bodyExt]int32),
+	}
+	elem := d.elementary()
 	if len(elem) == 0 {
 		return nil
 	}
-	bodyOcc := bodyOccurrences(in)
+	d.bodyOcc = bodyOccurrences(in)
+	d.run(elem)
+	SortRules(d.rules)
+	return d.rules
+}
 
-	if opts.Lattice == LowerCardinalityParent {
-		return mineBidirectional(in, opts, elem, bodyOcc, minCount)
-	}
+// descent is the state of one canonical-path walk over the lattice.
+type descent struct {
+	in       *GeneralInput
+	opts     Options
+	minCount int
+	groupOf  []int32 // context id → dense group number
+	bodyOcc  map[Item][]GC
+	bodies   []latticeBody
+	bodyIdx  map[bodyExt]int32
+	mark     []uint32 // context id → stamp of the last list joined
+	stamp    uint32   // one per join, at most two per queued node
+	scratch  []int32  // join target, reused across intersections
+	rules    []Rule
+}
 
-	// Level 1×1.
-	var level []latticeRule
-	for pk, ctxs := range elem {
-		level = append(level, latticeRule{
-			body:   []Item{pk.b},
-			head:   []Item{pk.h},
-			ctxs:   ctxs,
-			gcount: distinctGroups(ctxs),
-		})
+// latticeBody is one rule body reached by the descent.
+type latticeBody struct {
+	items []Item
+	// singles are the frequent (B, {h}) nodes in increasing h: the
+	// parents of each body's singles are expanded in increasing h.
+	singles []sibling
+	count   int // memoised confidence denominator; -1 until computed
+}
+
+// sibling is a frequent rule that differs from its siblings in one
+// item: the last body item in a body class, the last head item in a
+// head class.
+type sibling struct {
+	item   Item
+	ids    []int32
+	groups int
+}
+
+// bodyExt names the body grown from body parent (-1: none) by item b.
+type bodyExt struct {
+	parent int32
+	b      Item
+}
+
+// ruleNode is a frequent lattice node awaiting expansion.
+type ruleNode struct {
+	body   int32
+	head   []Item
+	ids    []int32
+	groups int
+	// bodySibs (singleton heads only) and headSibs (heads of two or
+	// more items) are the node's later siblings.
+	bodySibs, headSibs []sibling
+}
+
+func (d *descent) run(elem map[pairKey][]int32) {
+	longest := 0
+	pairs := make([]pairKey, 0, len(elem))
+	for pk, ids := range elem {
+		pairs = append(pairs, pk)
+		longest = max(longest, len(ids))
 	}
-	sort.Slice(level, func(i, j int) bool {
-		if level[i].body[0] != level[j].body[0] {
-			return level[i].body[0] < level[j].body[0]
+	d.scratch = make([]int32, 0, longest)
+
+	// Level 1×1. In (h, b) order, the body class of (b, h) — every
+	// frequent (b', h) with b' > b — is the run that follows it.
+	slices.SortFunc(pairs, func(a, b pairKey) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
 		}
-		return level[i].head[0] < level[j].head[0]
+		return cmp.Compare(a.b, b.b)
+	})
+	level := make([]sibling, len(pairs))
+	for k, pk := range pairs {
+		level[k] = sibling{item: pk.b, ids: elem[pk], groups: d.groups(elem[pk])}
+	}
+	queue := make([]ruleNode, 0, len(pairs))
+	for k, pk := range pairs {
+		end := k + 1
+		for end < len(pairs) && pairs[end].h == pk.h {
+			end++
+		}
+		bi := d.bodyOf(-1, pk.b)
+		d.bodies[bi].singles = append(d.bodies[bi].singles, sibling{item: pk.h, ids: level[k].ids, groups: level[k].groups})
+		queue = append(queue, ruleNode{body: bi, head: []Item{pk.h}, ids: level[k].ids, groups: level[k].groups,
+			bodySibs: level[k+1 : end]})
+	}
+	slices.SortFunc(queue, func(x, y ruleNode) int {
+		if c := cmp.Compare(d.bodies[x.body].items[0], d.bodies[y.body].items[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.head[0], y.head[0])
 	})
 
-	var rules []Rule
-	emit := func(r latticeRule) {
-		if !opts.BodyCard.contains(len(r.body)) || !opts.HeadCard.contains(len(r.head)) {
-			return
-		}
-		bc := bodyCount(bodyOcc, r.body)
-		if bc == 0 {
-			return
-		}
-		conf := float64(r.gcount) / float64(bc)
-		if conf < opts.MinConfidence {
-			return
-		}
-		rules = append(rules, Rule{
-			Body:         append([]Item(nil), r.body...),
-			Head:         append([]Item(nil), r.head...),
-			SupportCount: r.gcount,
-			BodyCount:    bc,
-			Support:      float64(r.gcount) / float64(in.TotalGroups),
-			Confidence:   conf,
-		})
-	}
-
-	// Canonical unique-path descent of the paper's lattice: bodies grow
-	// (in increasing item order) while the head is a singleton; heads
-	// grow (in increasing item order) at any body. Every m×n rule set is
-	// reached exactly once, and since rule contexts shrink monotonically
-	// along any path, support pruning is safe on this path too.
-	var headItems []Item
-	seenHead := make(map[Item]bool)
-	for pk := range elem {
-		if !seenHead[pk.h] {
-			seenHead[pk.h] = true
-			headItems = append(headItems, pk.h)
-		}
-	}
-	sort.Slice(headItems, func(i, j int) bool { return headItems[i] < headItems[j] })
-	var bodyItems []Item
-	seenBody := make(map[Item]bool)
-	for pk := range elem {
-		if !seenBody[pk.b] {
-			seenBody[pk.b] = true
-			bodyItems = append(bodyItems, pk.b)
-		}
-	}
-	sort.Slice(bodyItems, func(i, j int) bool { return bodyItems[i] < bodyItems[j] })
-
-	bud := opts.Budget
-	queue := level
-	for len(queue) > 0 {
+	bud := d.opts.Budget
+	for i := 0; i < len(queue); i++ {
 		if !bud.Charge(1) {
 			break // budget tripped: stop the descent, keep rules so far
 		}
-		r := queue[0]
-		queue = queue[1:]
-		emit(r)
+		r := queue[i]
+		queue[i] = ruleNode{} // siblings still hold what later joins need
+		d.emit(r)
 
 		// Body growth, only while the head is still a singleton.
-		if len(r.head) == 1 && opts.BodyCard.allows(len(r.body)+1) {
-			h := r.head[0]
-			maxB := r.body[len(r.body)-1]
-			for _, b := range bodyItems {
-				if b <= maxB {
-					continue
-				}
-				if in.SameAttr && b == h {
-					continue
-				}
-				pc, ok := elem[pairKey{b, h}]
-				if !ok {
-					continue
-				}
-				ctxs := intersectCtx(r.ctxs, pc)
-				if g := distinctGroups(ctxs); g >= minCount {
-					queue = append(queue, latticeRule{
-						body:   appendItem(r.body, b),
-						head:   r.head,
-						ctxs:   ctxs,
-						gcount: g,
-					})
-				}
+		if len(r.head) == 1 && d.opts.BodyCard.allows(len(d.bodies[r.body].items)+1) {
+			kids := d.join(r.ids, r.bodySibs)
+			for k, c := range kids {
+				bi := d.bodyOf(r.body, c.item)
+				d.bodies[bi].singles = append(d.bodies[bi].singles, sibling{item: r.head[0], ids: c.ids, groups: c.groups})
+				queue = append(queue, ruleNode{body: bi, head: r.head, ids: c.ids, groups: c.groups, bodySibs: kids[k+1:]})
 			}
 		}
 
 		// Head growth.
-		if opts.HeadCard.allows(len(r.head) + 1) {
-			maxH := r.head[len(r.head)-1]
-		nextHead:
-			for _, h := range headItems {
-				if h <= maxH {
-					continue
-				}
-				if in.SameAttr && itemIn(r.body, h) {
-					continue
-				}
-				ctxs := r.ctxs
-				for _, b := range r.body {
-					pc, ok := elem[pairKey{b, h}]
-					if !ok {
-						continue nextHead
-					}
-					ctxs = intersectCtx(ctxs, pc)
-					if len(ctxs) == 0 {
-						continue nextHead
-					}
-				}
-				if g := distinctGroups(ctxs); g >= minCount {
-					queue = append(queue, latticeRule{
-						body:   r.body,
-						head:   appendItem(r.head, h),
-						ctxs:   ctxs,
-						gcount: g,
-					})
-				}
+		if d.opts.HeadCard.allows(len(r.head) + 1) {
+			sibs := r.headSibs
+			if len(r.head) == 1 {
+				singles := d.bodies[r.body].singles
+				k, _ := slices.BinarySearchFunc(singles, r.head[0], func(s sibling, h Item) int { return cmp.Compare(s.item, h) })
+				sibs = singles[k+1:]
+			}
+			kids := d.join(r.ids, sibs)
+			for k, c := range kids {
+				queue = append(queue, ruleNode{body: r.body, head: appendItem(r.head, c.item), ids: c.ids, groups: c.groups, headSibs: kids[k+1:]})
 			}
 		}
 	}
-	SortRules(rules)
-	return rules
 }
 
-// elementaryContexts produces the pruned map pair → sorted context list,
-// either from the preprocessor's InputRules or by streaming the
-// per-group cluster-pair cartesian product.
-func elementaryContexts(in *GeneralInput, minCount int) map[pairKey][]Ctx {
-	elem := make(map[pairKey][]Ctx)
-	if in.Elementary != nil {
-		for _, e := range in.Elementary {
-			elem[pairKey{e.Body, e.Head}] = append(elem[pairKey{e.Body, e.Head}], e.Ctx)
-		}
-	} else {
-		for _, g := range in.Groups {
-			for _, pair := range validPairs(in, g) {
-				bitems := g.BodyClusters[pair[0]]
-				hitems := g.HeadClusters[pair[1]]
-				for _, b := range bitems {
-					for _, h := range hitems {
-						if in.SameAttr && b == h {
-							continue
-						}
-						pk := pairKey{b, h}
-						elem[pk] = append(elem[pk], Ctx{G: g.Gid, BC: pair[0], HC: pair[1]})
-					}
-				}
+// join intersects ids with each sibling's list and returns the frequent
+// results, in sibling order. ids is stamped into d.mark once, so each
+// intersection costs one probe per sibling context; it is built in the
+// reused scratch buffer and copied out only when it reaches minCount
+// groups.
+func (d *descent) join(ids []int32, sibs []sibling) []sibling {
+	if len(sibs) == 0 {
+		return nil
+	}
+	d.stamp++
+	for _, x := range ids {
+		d.mark[x] = d.stamp
+	}
+	var out []sibling
+	for _, s := range sibs {
+		c := d.scratch[:0]
+		groups, last := 0, int32(-1)
+		for _, x := range s.ids {
+			if d.mark[x] != d.stamp {
+				continue
+			}
+			c = append(c, x)
+			if g := d.groupOf[x]; g != last {
+				groups++
+				last = g
 			}
 		}
+		d.scratch = c
+		if groups >= d.minCount {
+			out = append(out, sibling{item: s.item, ids: slices.Clone(c), groups: groups})
+		}
 	}
-	for pk, ctxs := range elem {
-		ctxs = normalizeCtxs(ctxs)
-		if distinctGroups(ctxs) < minCount {
+	return out
+}
+
+// elementary interns the contexts of the elementary rule occurrences,
+// numbers the distinct ones in sorted order (so id order is context
+// order and d.groupOf maps an id to its dense group number), and
+// returns each elementary rule's sorted id list. Rules reaching fewer
+// than minCount groups are dropped.
+func (d *descent) elementary() map[pairKey][]int32 {
+	intern := make(map[Ctx]int32)
+	var ctxs []Ctx
+	elem := make(map[pairKey][]int32)
+	elementaryOccurrences(d.in, func(pk pairKey, c Ctx) {
+		id, ok := intern[c]
+		if !ok {
+			id = int32(len(ctxs))
+			intern[c] = id
+			ctxs = append(ctxs, c)
+		}
+		elem[pk] = append(elem[pk], id)
+	})
+	order := make([]int32, len(ctxs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmpCtx(ctxs[a], ctxs[b]) })
+	rank := make([]int32, len(ctxs))
+	d.groupOf = make([]int32, len(ctxs))
+	d.mark = make([]uint32, len(ctxs))
+	g := int32(-1)
+	for k, p := range order {
+		rank[p] = int32(k)
+		if k == 0 || ctxs[p].G != ctxs[order[k-1]].G {
+			g++
+		}
+		d.groupOf[k] = g
+	}
+	for pk, ids := range elem {
+		for i, p := range ids {
+			ids[i] = rank[p]
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		if d.groups(ids) < d.minCount {
 			delete(elem, pk)
 			continue
 		}
-		elem[pk] = ctxs
+		elem[pk] = ids
 	}
 	return elem
+}
+
+// bodyOf returns the id of the body grown from parent by b, creating
+// it on first use.
+func (d *descent) bodyOf(parent int32, b Item) int32 {
+	k := bodyExt{parent: parent, b: b}
+	if i, ok := d.bodyIdx[k]; ok {
+		return i
+	}
+	items := []Item{b}
+	if parent >= 0 {
+		items = appendItem(d.bodies[parent].items, b)
+	}
+	i := int32(len(d.bodies))
+	d.bodies = append(d.bodies, latticeBody{items: items, count: -1})
+	d.bodyIdx[k] = i
+	return i
+}
+
+// groups counts the distinct groups of a sorted id list.
+func (d *descent) groups(ids []int32) int {
+	n, last := 0, int32(-1)
+	for _, x := range ids {
+		if g := d.groupOf[x]; g != last {
+			n++
+			last = g
+		}
+	}
+	return n
+}
+
+func (d *descent) emit(r ruleNode) {
+	b := &d.bodies[r.body]
+	if !d.opts.BodyCard.contains(len(b.items)) || !d.opts.HeadCard.contains(len(r.head)) {
+		return
+	}
+	if b.count < 0 {
+		b.count = bodyCount(d.bodyOcc, b.items)
+	}
+	if b.count == 0 {
+		return
+	}
+	conf := float64(r.groups) / float64(b.count)
+	if conf < d.opts.MinConfidence {
+		return
+	}
+	d.rules = append(d.rules, Rule{
+		Body:         append([]Item(nil), b.items...),
+		Head:         append([]Item(nil), r.head...),
+		SupportCount: r.groups,
+		BodyCount:    b.count,
+		Support:      float64(r.groups) / float64(d.in.TotalGroups),
+		Confidence:   conf,
+	})
+}
+
+// elementaryOccurrences calls fn for every elementary rule occurrence,
+// either from the preprocessor's InputRules or by streaming the
+// per-group cluster-pair cartesian product. Under SameAttr a body item
+// never pairs with itself.
+func elementaryOccurrences(in *GeneralInput, fn func(pairKey, Ctx)) {
+	if in.Elementary != nil {
+		for _, e := range in.Elementary {
+			if !in.SameAttr || e.Body != e.Head {
+				fn(pairKey{e.Body, e.Head}, e.Ctx)
+			}
+		}
+		return
+	}
+	for _, g := range in.Groups {
+		for _, pair := range validPairs(in, g) {
+			c := Ctx{G: g.Gid, BC: pair[0], HC: pair[1]}
+			for _, b := range g.BodyClusters[pair[0]] {
+				for _, h := range g.HeadClusters[pair[1]] {
+					if !in.SameAttr || b != h {
+						fn(pairKey{b, h}, c)
+					}
+				}
+			}
+		}
+	}
 }
 
 // validPairs expands the pair policy for one group.
@@ -371,56 +502,6 @@ func appendItem(items []Item, it Item) []Item {
 	out := make([]Item, len(items)+1)
 	copy(out, items)
 	out[len(items)] = it
-	return out
-}
-
-func itemIn(items []Item, it Item) bool {
-	for _, x := range items {
-		if x == it {
-			return true
-		}
-	}
-	return false
-}
-
-func normalizeCtxs(ctxs []Ctx) []Ctx {
-	sort.Slice(ctxs, func(i, j int) bool { return ctxLess(ctxs[i], ctxs[j]) })
-	out := ctxs[:0]
-	for i, c := range ctxs {
-		if i == 0 || c != ctxs[i-1] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func distinctGroups(ctxs []Ctx) int {
-	count := 0
-	var prev int64 = -1 << 62
-	for _, c := range ctxs {
-		if c.G != prev {
-			count++
-			prev = c.G
-		}
-	}
-	return count
-}
-
-func intersectCtx(a, b []Ctx) []Ctx {
-	out := make([]Ctx, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case ctxLess(a[i], b[j]):
-			i++
-		default:
-			j++
-		}
-	}
 	return out
 }
 

@@ -50,9 +50,6 @@ type Options struct {
 	MinConfidence float64
 	BodyCard      Card
 	HeadCard      Card
-	// Lattice selects the general-core search strategy (see
-	// LatticeStrategy); the zero value is the canonical path.
-	Lattice LatticeStrategy
 	// Budget, when non-nil, bounds the mining: cancellation and the
 	// candidate ceiling are checked between levelwise passes and lattice
 	// nodes. Algorithms return their partial result when it trips; the

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,67 +186,154 @@ func TestGeneralLatticeMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// TestLatticeStrategiesAgree: the canonical-path descent and the paper's
-// lower-cardinality-parent lattice must produce identical rule sets.
+// latticeShape is one randomly drawn input shape for the general core.
+type latticeShape struct {
+	policy     PairPolicy
+	sameAttr   bool
+	elementary bool
+	bodyCard   Card
+	headCard   Card
+}
+
+func (s latticeShape) String() string {
+	return fmt.Sprintf("policy=%d sameAttr=%v elementary=%v body=%v head=%v",
+		s.policy, s.sameAttr, s.elementary, s.bodyCard, s.headCard)
+}
+
+// randomGeneralInput draws an input of the given shape. Without
+// SameAttr the head clusters are separate item lists whose encodings
+// overlap the body's numerically, so a kernel that wrongly keeps bodies
+// and heads disjoint shows. Elementary input mimics the preprocessor's
+// InputRules: the cartesian product of each valid cluster pair,
+// filtered by a mining condition on body and head items, in arbitrary
+// order and with duplicate rows. Under SameAttr a few self pairs b ⇒ b
+// are kept: the translator never emits them, and the core must drop
+// them.
+func randomGeneralInput(rng *rand.Rand, s latticeShape) *GeneralInput {
+	const items = 8
+	clusterItems := func() []Item {
+		out := make([]Item, 1+rng.Intn(5))
+		for i := range out {
+			out[i] = Item(rng.Intn(items))
+		}
+		return normalizeItems(out)
+	}
+	var groups []GroupData
+	for g := int64(1); g <= 25; g++ {
+		nclusters := 1 + rng.Intn(3)
+		if s.policy == SelfPairs {
+			nclusters = 1
+		}
+		bc := make(map[int64][]Item)
+		hc := bc
+		if !s.sameAttr {
+			hc = make(map[int64][]Item)
+		}
+		for c := int64(0); c < int64(nclusters); c++ {
+			bc[c] = clusterItems()
+			if !s.sameAttr {
+				hc[c] = clusterItems()
+			}
+		}
+		gd := GroupData{Gid: g, BodyClusters: bc, HeadClusters: hc}
+		if s.policy == ExplicitPairs {
+			for b := int64(0); b < int64(nclusters); b++ {
+				for h := int64(0); h < int64(nclusters); h++ {
+					if rng.Intn(3) > 0 {
+						gd.Couples = append(gd.Couples, [2]int64{b, h})
+					}
+				}
+			}
+		}
+		groups = append(groups, gd)
+	}
+	in := &GeneralInput{
+		TotalGroups: len(groups),
+		Groups:      groups,
+		PairPolicy:  s.policy,
+		SameAttr:    s.sameAttr,
+	}
+	if s.elementary {
+		bodyOK, headOK := rng.Perm(items), rng.Perm(items)
+		in.Elementary = []ElemOcc{}
+		for _, g := range groups {
+			for _, pair := range validPairs(in, g) {
+				for _, b := range g.BodyClusters[pair[0]] {
+					for _, h := range g.HeadClusters[pair[1]] {
+						if (s.sameAttr && b == h && b%4 != 0) || bodyOK[b] < 2 || headOK[h] < 2 {
+							continue
+						}
+						e := ElemOcc{Body: b, Head: h, Ctx: Ctx{G: g.Gid, BC: pair[0], HC: pair[1]}}
+						in.Elementary = append(in.Elementary, e)
+						if rng.Intn(8) == 0 {
+							in.Elementary = append(in.Elementary, e)
+						}
+					}
+				}
+			}
+		}
+		rng.Shuffle(len(in.Elementary), func(i, j int) {
+			in.Elementary[i], in.Elementary[j] = in.Elementary[j], in.Elementary[i]
+		})
+	}
+	return in
+}
+
+// TestLatticeStrategiesAgree: the canonical-path kernel and the paper's
+// lower-cardinality-parent lattice (the test reference) must produce
+// identical rule lists, counts included, on every input shape the
+// preprocessor serves: all three pair policies, shared or separate
+// body/head encodings, derived or preprocessor-supplied elementary
+// rules, bounded or unbounded cardinalities.
 func TestLatticeStrategiesAgree(t *testing.T) {
+	cards := []Card{{Min: 1, Max: 1}, {Min: 1, Max: 2}, {Min: 1, Max: 3}, {Min: 2, Max: 0}, {Min: 1, Max: 0}}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var groups []GroupData
-		for g := int64(1); g <= 25; g++ {
-			nclusters := 1 + rng.Intn(3)
-			bc := make(map[int64][]Item)
-			for c := int64(0); c < int64(nclusters); c++ {
-				n := 1 + rng.Intn(5)
-				items := make([]Item, n)
-				for i := range items {
-					items[i] = Item(rng.Intn(8))
-				}
-				bc[c] = normalizeItems(items)
-			}
-			groups = append(groups, GroupData{Gid: g, BodyClusters: bc, HeadClusters: bc})
+		shape := latticeShape{
+			policy:     PairPolicy(rng.Intn(3)),
+			sameAttr:   rng.Intn(2) == 0,
+			elementary: rng.Intn(2) == 0,
+			bodyCard:   cards[rng.Intn(len(cards))],
+			headCard:   cards[rng.Intn(len(cards))],
 		}
-		in := &GeneralInput{
-			TotalGroups: len(groups),
-			Groups:      groups,
-			PairPolicy:  AllPairs,
-			SameAttr:    true,
-		}
-		base := Options{MinSupport: 0.15, MinConfidence: 0.1,
-			BodyCard: Card{Min: 1, Max: 3}, HeadCard: Card{Min: 1, Max: 2}}
-		canon := MineGeneral(in, base)
-		bi := base
-		bi.Lattice = LowerCardinalityParent
-		bidir := MineGeneral(in, bi)
-		if len(canon) != len(bidir) {
-			t.Logf("seed %d: %d vs %d rules", seed, len(canon), len(bidir))
+		in := randomGeneralInput(rng, shape)
+		opts := Options{MinSupport: 0.08 + 0.08*rng.Float64(), MinConfidence: 0.4 * rng.Float64(),
+			BodyCard: shape.bodyCard, HeadCard: shape.headCard}
+		got := MineGeneral(in, opts)
+		want := referenceMineGeneral(in, opts)
+		if len(got) != len(want) {
+			t.Logf("seed %d (%v): %d vs %d rules", seed, shape, len(got), len(want))
 			return false
 		}
-		for i := range canon {
-			if compareItems(canon[i].Body, bidir[i].Body) != 0 ||
-				compareItems(canon[i].Head, bidir[i].Head) != 0 ||
-				canon[i].Support != bidir[i].Support ||
-				canon[i].Confidence != bidir[i].Confidence {
+		for i := range got {
+			g, w := got[i], want[i]
+			if compareItems(g.Body, w.Body) != 0 || compareItems(g.Head, w.Head) != 0 ||
+				g.SupportCount != w.SupportCount || g.BodyCount != w.BodyCount ||
+				g.Support != w.Support || g.Confidence != w.Confidence {
+				t.Logf("seed %d (%v): rule %d: %v (%d/%d) vs %v (%d/%d)", seed, shape, i,
+					g, g.SupportCount, g.BodyCount, w, w.SupportCount, w.BodyCount)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestLatticeStrategiesAgreeOnPaperExample pins both strategies to
-// Figure 2.b.
+// TestLatticeStrategiesAgreeOnPaperExample pins the kernel and the
+// reference to Figure 2.b.
 func TestLatticeStrategiesAgreeOnPaperExample(t *testing.T) {
-	for _, strat := range []LatticeStrategy{CanonicalPath, LowerCardinalityParent} {
-		rules := MineGeneral(paperGeneralInput(), Options{
+	for name, mine := range map[string]func(*GeneralInput, Options) []Rule{
+		"kernel": MineGeneral, "reference": referenceMineGeneral,
+	} {
+		rules := mine(paperGeneralInput(), Options{
 			MinSupport: 0.2, MinConfidence: 0.3,
 			BodyCard: Card{Min: 1}, HeadCard: Card{Min: 1},
-			Lattice: strat,
 		})
 		if len(rules) != 3 {
-			t.Errorf("strategy %d: %d rules, want 3", strat, len(rules))
+			t.Errorf("%s: %d rules, want 3", name, len(rules))
 		}
 	}
 }

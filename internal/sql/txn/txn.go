@@ -462,13 +462,20 @@ func (tx *Txn) charge(pages int) error {
 	return nil
 }
 
-// buildRecords turns the write set into WAL records in write order.
-// Overlays whose table this transaction itself dropped (and possibly
-// recreated) are skipped: the drop already journaled, and a record for
-// a dead table must never reach the log.
-func (tx *Txn) buildRecords() []*wal.Record {
-	var recs []*wal.Record
+// liveWrites returns the write set's diverged overlays in write order,
+// each once. tx.order names a key twice when this transaction dropped a
+// table and opened its re-creation for write; it is never compacted,
+// because savepoints address it by position. Overlays whose table this
+// transaction itself dropped are skipped: the drop already journaled,
+// and a record for a dead table must never reach the log.
+func (tx *Txn) liveWrites() []*tableWrite {
+	var out []*tableWrite
+	seen := make(map[string]bool, len(tx.order))
 	for _, k := range tx.order {
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
 		w := tx.writes[k]
 		if w == nil || !w.diverged() {
 			continue
@@ -476,6 +483,15 @@ func (tx *Txn) buildRecords() []*wal.Record {
 		if cur, ok := tx.m.cat.Table(w.t.Name()); !ok || cur != w.t {
 			continue
 		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// buildRecords turns the live overlays into WAL records in write order.
+func buildRecords(ws []*tableWrite) []*wal.Record {
+	recs := make([]*wal.Record, 0, len(ws))
+	for _, w := range ws {
 		if w.replaced {
 			recs = append(recs, &wal.Record{Kind: wal.KindReplace, Name: w.t.Name(), Rows: w.rows})
 		} else {
@@ -507,7 +523,8 @@ func (tx *Txn) Commit(ctx context.Context) error {
 		return nil
 	}
 	m := tx.m
-	recs := tx.buildRecords()
+	ws := tx.liveWrites()
+	recs := buildRecords(ws)
 	var lsn uint64
 	if len(recs) > 0 {
 		m.cat.LockPublish()
@@ -522,14 +539,7 @@ func (tx *Txn) Commit(ctx context.Context) error {
 		}
 		stamp := m.cat.Stamps().Next(lsn)
 		lwm := m.unregister(tx)
-		for _, k := range tx.order {
-			w := tx.writes[k]
-			if w == nil || !w.diverged() {
-				continue
-			}
-			if cur, ok := m.cat.Table(w.t.Name()); !ok || cur != w.t {
-				continue
-			}
+		for _, w := range ws {
 			if w.replaced {
 				w.t.PublishReplace(stamp, w.rows, lwm)
 			} else {
