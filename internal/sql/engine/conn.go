@@ -75,7 +75,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string) (*exec.Result, error
 		db.met.StmtErrors.Inc()
 		return nil, fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
-	return c.execParsed(ctx, p.st, p, sql, sql, nil)
+	return c.execParsed(ctx, p.st, p, sql, sql, nil, false)
 }
 
 // ExecScript executes a semicolon-separated sequence of statements on
@@ -89,27 +89,50 @@ func (c *Conn) ExecScript(sql string) error {
 // through an overlay), so the per-statement verdict cache is bypassed;
 // transaction-control statements inside the script act on this
 // connection, so a script may open, populate, and commit a transaction.
+//
+// A script that changes the catalog runs under the database's DDL gate:
+// no other statement starts until it ends, so none sees its DDL
+// half-applied. Its statements still autocommit one by one.
 func (c *Conn) ExecScriptContext(ctx context.Context, sql string) error {
 	sts, err := c.db.prepareScript(sql)
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
+	gated := changesCatalog(sts)
+	if gated {
+		c.db.ddlGate.Lock()
+		defer c.db.ddlGate.Unlock()
+	}
 	for _, st := range sts {
-		if _, err := c.execParsed(ctx, st, nil, sql, st.SQL(), nil); err != nil {
+		if _, err := c.execParsed(ctx, st, nil, sql, st.SQL(), nil, gated); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// changesCatalog reports whether any statement of a script is DDL.
+func changesCatalog(sts []parse.Statement) bool {
+	for _, st := range sts {
+		switch st.(type) {
+		case *parse.CreateTable, *parse.DropTable, *parse.CreateView, *parse.DropView,
+			*parse.CreateSequence, *parse.DropSequence, *parse.CreateIndex, *parse.DropIndex:
+			return true
+		}
+	}
+	return false
+}
+
 // execParsed dispatches one parsed statement: transaction control acts
 // on the connection itself; everything else runs inside a transaction —
 // the connection's explicit one when open, an ephemeral autocommit
-// transaction otherwise.
-func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string)) (*exec.Result, error) {
+// transaction otherwise. gated is set when the caller holds the DDL
+// gate exclusively (a catalog-changing script), so starting a
+// transaction must not wait for it.
+func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, src, stmtSQL string, trace func(string), gated bool) (*exec.Result, error) {
 	switch st.(type) {
 	case *parse.Begin:
-		return c.beginTxn()
+		return c.beginTxn(gated)
 	case *parse.Commit:
 		return c.commitTxn(ctx)
 	case *parse.Rollback:
@@ -125,7 +148,7 @@ func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, 
 		return db.execStatement(ctx, c.tx, false, st, p, src, stmtSQL, trace)
 	}
 	c.mu.Unlock()
-	tx := db.mgr.Begin()
+	tx := db.begin(gated)
 	res, err := db.execStatement(ctx, tx, true, st, p, src, stmtSQL, trace)
 	db.mgr.Release(tx)
 	return res, err
@@ -133,14 +156,14 @@ func (c *Conn) execParsed(ctx context.Context, st parse.Statement, p *prepared, 
 
 // beginTxn implements BEGIN: it opens an explicit transaction on the
 // connection.
-func (c *Conn) beginTxn() (*exec.Result, error) {
+func (c *Conn) beginTxn(gated bool) (*exec.Result, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.tx != nil {
 		c.db.met.StmtErrors.Inc()
 		return nil, errors.New("engine: transaction already in progress")
 	}
-	c.tx = c.db.mgr.Begin()
+	c.tx = c.db.begin(gated)
 	c.db.met.StmtExecuted.Inc()
 	return &exec.Result{}, nil
 }

@@ -71,6 +71,14 @@ type Database struct {
 	// store is the durable backend (WAL + checkpoints); nil on in-memory
 	// databases, which is the default.
 	store *store
+	// ddlGate makes a script that changes the catalog appear as a unit
+	// to statement starts: such a script holds it exclusively for its
+	// whole run, and every statement start (snapshot begin, Prepare's
+	// check) holds it shared. A statement therefore sees the catalog
+	// before or after the script, never half-applied (DROP TABLE t;
+	// CREATE TABLE t). The script's data writes still commit one
+	// statement at a time.
+	ddlGate sync.RWMutex
 }
 
 // newDatabase builds the catalog, metrics, and pools common to the
@@ -266,13 +274,26 @@ func (db *Database) Prepare(sql string) error {
 	p, err := db.parseStmt(sql)
 	db.met.ParseNanos.Add(int64(time.Since(t0)))
 	if err == nil {
+		db.ddlGate.RLock()
 		err = db.verdict(p, sql, semck.FromStorage(db.cat), db.cat.Version())
+		db.ddlGate.RUnlock()
 	}
 	if err != nil {
 		db.met.StmtErrors.Inc()
 		return fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
 	return nil
+}
+
+// begin starts a transaction at a statement boundary: it waits out a
+// running catalog-changing script unless the caller is that script
+// (gated), so the snapshot never lands between two of its statements.
+func (db *Database) begin(gated bool) *txn.Txn {
+	if !gated {
+		db.ddlGate.RLock()
+		defer db.ddlGate.RUnlock()
+	}
+	return db.mgr.Begin()
 }
 
 // ExplainSQL executes a query with executor tracing enabled and returns
@@ -295,7 +316,7 @@ func (db *Database) ExplainSQLContext(ctx context.Context, sql string) (string, 
 		return "", fmt.Errorf("engine: %w\n  in: %s", err, compact(sql))
 	}
 	var lines []string
-	res, err := db.def.execParsed(ctx, p.st, p, sql, sql, func(l string) { lines = append(lines, l) })
+	res, err := db.def.execParsed(ctx, p.st, p, sql, sql, func(l string) { lines = append(lines, l) }, false)
 	if err != nil {
 		return "", err
 	}

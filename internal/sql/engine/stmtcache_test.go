@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestStatementCacheHits proves repeated statement texts are served from
@@ -283,4 +284,37 @@ func TestPrepareDDLRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestDDLScriptRunsUnderOwnGate: a catalog-changing script holds the
+// DDL gate for its whole run, so its own statements — including a
+// transaction it opens and commits — must start without waiting on it.
+func TestDDLScriptRunsUnderOwnGate(t *testing.T) {
+	db := New()
+	done := make(chan error, 1)
+	go func() {
+		done <- db.Conn().ExecScript(`
+			BEGIN;
+			CREATE TABLE g (a INTEGER);
+			INSERT INTO g VALUES (1);
+			COMMIT;
+			INSERT INTO g VALUES (2);
+			SELECT a FROM g;
+		`)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("catalog-changing script blocked on its own DDL gate")
+	}
+	n, err := db.QueryInt("SELECT COUNT(*) FROM g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("COUNT(*) = %d, want 2", n)
+	}
 }
