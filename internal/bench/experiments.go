@@ -162,8 +162,8 @@ func E4(groups int, supports []float64) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("E4: algorithm pool, T10.I4 D=%d, core time (ms) per support", groups),
 		Header: append([]string{"algorithm"}, supportsHeader(supports)...),
-		Notes: "expected shape: all agree on rule counts; in-memory, the gid-list apriori wins and the gap widens as support drops — " +
-			"the pass-count savings of partition/sampling are disk-I/O effects an in-memory substrate does not reproduce (see EXPERIMENTS.md)",
+		Notes: "expected shape: all agree on rule counts; every member counts through the same packed covers, so times differ only by " +
+			"candidate generation and pass scheduling — the pass-count savings of partition/sampling are disk-I/O effects an in-memory substrate does not reproduce (see EXPERIMENTS.md)",
 	}
 	counts := make([]string, len(supports))
 	algos := []core.Algorithm{core.AlgoApriori, core.AlgoHorizontal, core.AlgoAprioriTid, core.AlgoDHP, core.AlgoPartition, core.AlgoSampling}

@@ -30,14 +30,14 @@ type Algorithm string
 
 // The pool.
 const (
-	AlgoApriori       Algorithm = "apriori"            // gid-list levelwise [1,3]
-	AlgoHorizontal    Algorithm = "apriori-horizontal" // counting passes [3]
-	AlgoAprioriTid    Algorithm = "apriori-tid"        // transformed-set passes [3]
-	AlgoAprioriHybrid Algorithm = "apriori-hybrid"     // switch between the two [3]
-	AlgoDHP           Algorithm = "apriori-dhp"        // hash-filtered [12]
+	AlgoApriori       Algorithm = "apriori"            // levelwise join of parent covers [1,3]
+	AlgoHorizontal    Algorithm = "apriori-horizontal" // join, subset prune, one count per pass [3]
+	AlgoAprioriTid    Algorithm = "apriori-tid"        // as apriori-horizontal [3]
+	AlgoAprioriHybrid Algorithm = "apriori-hybrid"     // as apriori-horizontal [3]
+	AlgoDHP           Algorithm = "apriori-dhp"        // plus the pass-1 bucket filter [12]
 	AlgoPartition     Algorithm = "partition"          // two passes [13]
 	AlgoSampling      Algorithm = "sampling"           // Toivonen [7]
-	AlgoBitmap        Algorithm = "bitmap"             // vertical packed bitsets
+	AlgoBitmap        Algorithm = "bitmap"             // as apriori
 )
 
 // Options tunes a pipeline run.
@@ -334,9 +334,6 @@ func mineStatement(ctx context.Context, db *engine.Database, st *ast.Statement, 
 		in, err = readSimpleInput(ctx, db, tr, pre.Totg, opts.Limits.MaxRows == 0)
 		if err != nil {
 			return nil, err
-		}
-		if _, ok := miner.(mining.Bitmap); ok {
-			in.PackCovers()
 		}
 		groupsRead = len(in.Groups)
 		rules = mining.MineSimple(miner, in, mopts)

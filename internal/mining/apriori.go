@@ -1,150 +1,28 @@
 package mining
 
-import "sort"
-
-// Apriori is the levelwise large-itemset algorithm in the form the paper
-// describes for the simple core processing (§4.3.1): candidate itemsets
-// grow by one item per level, and "support of an itemset is evaluated by
-// counting elements in an associated list that contains identifiers of
-// groups in which the itemset is present". The gid list of a new
-// candidate is the intersection of its two generating parents' lists.
+// Apriori is the levelwise large-itemset algorithm of the simple core
+// processing (§4.3.1) [1,3]: candidates grow by one item per level, and
+// a candidate's group count is the popcount of the AND of its two
+// generating parents' packed covers. It is the pool's default member.
 type Apriori struct{}
 
 // Name implements ItemsetMiner.
 func (Apriori) Name() string { return "apriori" }
 
-// node is a large itemset with its group-id list (sorted group indexes).
-type node struct {
-	items []Item
-	gids  []int32
-}
-
-// LargeItemsets implements ItemsetMiner. The budget is charged once per
-// level with the level's size, so a trip stops the levelwise growth at
-// the next pass boundary.
+// LargeItemsets implements ItemsetMiner with the levelwise strategy.
 func (Apriori) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []Itemset {
-	level, cand := firstLevel(in, minCount)
-	var out []Itemset
-	for k := 1; len(level) > 0; k++ {
-		for _, n := range level {
-			out = append(out, Itemset{Items: n.items, Count: len(n.gids)})
-		}
-		bud.NotePass(k, cand, len(level))
-		if !bud.Charge(len(level)) {
-			break
-		}
-		cand = pairCandidates(level, func(n node) []Item { return n.items })
-		level = nextLevel(level, minCount, bud)
-	}
-	sortItemsets(out)
-	return out
+	return levelwise(newCovers(in, minCount), minCount, bud, true)
 }
 
-// firstLevel builds the singleton gid lists and keeps the large ones; it
-// also reports how many distinct items (pass-1 candidates) it examined.
-func firstLevel(in *SimpleInput, minCount int) ([]node, int) {
-	lists := make(map[Item][]int32)
-	for g, tx := range in.Groups {
-		for _, it := range tx {
-			lists[it] = append(lists[it], int32(g))
-		}
-	}
-	items := make([]Item, 0, len(lists))
-	for it, l := range lists {
-		if len(l) >= minCount {
-			items = append(items, it)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	level := make([]node, 0, len(items))
-	for _, it := range items {
-		level = append(level, node{items: []Item{it}, gids: lists[it]})
-	}
-	return level, len(lists)
-}
+// Bitmap is the vertical-bitmap member of the pool. Packed covers are
+// the whole pool's counting substrate, so it is the levelwise strategy,
+// the same as Apriori, under its own name.
+type Bitmap struct{}
 
-// nextLevel performs the Apriori join: two itemsets sharing their first
-// k-1 items generate a k+1 candidate, whose gid list is the intersection
-// of the parents'. Candidates below minCount are pruned immediately; the
-// classic all-subsets-large prune is implied by the lattice search
-// because every prefix-sharing pair is tried. The level is sorted
-// lexicographically, so prefix-sharing runs are contiguous and
-// independent; large levels fan them out over the worker pool and merge
-// per-run outputs in run order, matching the sequential candidate order.
-func nextLevel(level []node, minCount int, bud *Budget) []node {
-	runs := prefixRuns(len(level), func(i int) []Item { return level[i].items })
-	mineRun := func(ri int) []node {
-		var out []node
-		s, e := runs[ri][0], runs[ri][1]
-		for i := s; i < e; i++ {
-			if !bud.Charge(0) { // poll cancellation between rows of the run
-				return out
-			}
-			for j := i + 1; j < e; j++ {
-				a, b := level[i], level[j]
-				g := intersect32(a.gids, b.gids)
-				if len(g) < minCount {
-					continue
-				}
-				items := make([]Item, len(a.items)+1)
-				copy(items, a.items)
-				items[len(a.items)] = b.items[len(b.items)-1]
-				out = append(out, node{items: items, gids: g})
-			}
-		}
-		return out
-	}
+// Name implements ItemsetMiner.
+func (Bitmap) Name() string { return "bitmap" }
 
-	if len(level) < minParallelLevel {
-		var next []node
-		for ri := range runs {
-			if bud.Stop() {
-				break
-			}
-			next = append(next, mineRun(ri)...)
-		}
-		return next
-	}
-	results := make([][]node, len(runs))
-	parallelFor(len(runs), bud, func(ri int) { results[ri] = mineRun(ri) })
-	var next []node
-	for _, r := range results {
-		next = append(next, r...)
-	}
-	return next
-}
-
-func samePrefix(a, b []Item) bool {
-	for i := 0; i < len(a)-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// intersect32 merges two sorted int32 lists.
-func intersect32(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// LargeItemsets implements ItemsetMiner with the levelwise strategy.
+func (Bitmap) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []Itemset {
+	return Apriori{}.LargeItemsets(in, minCount, bud)
 }

@@ -9,11 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"minerule/internal/gen"
 	"minerule/internal/resource"
 )
 
 // poolMiners are the exact-algorithm pool members checked against the
-// Apriori oracle. Sampling is included because its negative-border
+// gid-list reference. Sampling is included because its negative-border
 // verification makes it exact, and the fixed Seed makes it
 // deterministic.
 func poolMiners() []ItemsetMiner {
@@ -46,7 +47,7 @@ func randomInput(rng *rand.Rand) (*SimpleInput, int) {
 
 // TestMinerEquivalence is the determinism property test: every pool
 // miner must return byte-identical itemsets (sets, counts AND ordering)
-// to the Apriori oracle on randomized inputs, both single-threaded and
+// to the gid-list reference on randomized inputs, both single-threaded and
 // at full parallel width. GOMAXPROCS is swapped process-wide, so this
 // test must not run in parallel with others.
 func TestMinerEquivalence(t *testing.T) {
@@ -54,21 +55,21 @@ func TestMinerEquivalence(t *testing.T) {
 	widths := []int{1, runtime.GOMAXPROCS(0)}
 	for trial := 0; trial < 25; trial++ {
 		in, minCount := randomInput(rng)
-		want := Apriori{}.LargeItemsets(in, minCount, nil)
+		want := referenceApriori{}.LargeItemsets(in, minCount, nil)
 		for _, width := range widths {
 			prev := runtime.GOMAXPROCS(width)
 			for _, m := range poolMiners() {
 				got := m.LargeItemsets(in, minCount, nil)
 				if !reflect.DeepEqual(got, want) {
 					runtime.GOMAXPROCS(prev)
-					t.Fatalf("trial %d: %s at GOMAXPROCS=%d diverged from apriori:\n got %v\nwant %v",
+					t.Fatalf("trial %d: %s at GOMAXPROCS=%d diverged from the reference:\n got %v\nwant %v",
 						trial, m.Name(), width, got, want)
 				}
 			}
-			// The oracle itself must also be width-independent.
+			// The default member must also be width-independent.
 			if got := (Apriori{}).LargeItemsets(in, minCount, nil); !reflect.DeepEqual(got, want) {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("trial %d: apriori at GOMAXPROCS=%d diverged from itself", trial, width)
+				t.Fatalf("trial %d: apriori at GOMAXPROCS=%d diverged from the reference", trial, width)
 			}
 			runtime.GOMAXPROCS(prev)
 		}
@@ -130,6 +131,80 @@ func TestParallelContextCancel(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s: did not stop after context cancel", m.Name())
+		}
+	}
+}
+
+// basketInput generates the benchmark's basket shape: Quest T10.I4 over
+// N=500 items with D groups.
+func basketInput(groups int, seed int64) *SimpleInput {
+	txs := gen.Baskets(gen.BasketConfig{Groups: groups, AvgSize: 10, AvgPatternLen: 4, Items: 500, Seed: seed})
+	byGroup := make(map[int64][]Item, len(txs))
+	for g, tx := range txs {
+		items := make([]Item, len(tx))
+		for i, it := range tx {
+			items[i] = Item(it)
+		}
+		byGroup[int64(g)] = items
+	}
+	return NewSimpleInput(byGroup, len(txs))
+}
+
+// coreMembers is every pool member in the configuration the core runs
+// it with.
+func coreMembers() []ItemsetMiner {
+	return []ItemsetMiner{
+		Apriori{}, Bitmap{}, Horizontal{}, Horizontal{Hashing: true},
+		AprioriTid{}, AprioriHybrid{}, Partition{}, Sampling{},
+	}
+}
+
+// TestPoolMatchesReferenceOnBasketShape checks every pool member against
+// the gid-list reference on the data shape the repository benchmark
+// mines (T10.I4, N=500): D=8000 at s=0.02, and D=2000 at s=0.005, which
+// reaches longer itemsets. Sets, counts and order must be identical.
+func TestPoolMatchesReferenceOnBasketShape(t *testing.T) {
+	for _, c := range []struct {
+		groups  int
+		support float64
+	}{{8000, 0.02}, {2000, 0.005}} {
+		in := basketInput(c.groups, 29)
+		minCount := MinCount(c.support, in.TotalGroups)
+		want := referenceApriori{}.LargeItemsets(in, minCount, nil)
+		if len(want) == 0 || len(want[len(want)-1].Items) < 3 {
+			t.Fatalf("D=%d s=%g: reference found too little to compare (%d sets)", c.groups, c.support, len(want))
+		}
+		for _, m := range coreMembers() {
+			if got := m.LargeItemsets(in, minCount, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("D=%d s=%g: %s found %d sets, reference %d", c.groups, c.support, m.Name(), len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestPassStatsDeterministic: every member must record the same passes
+// and charge the same candidates whatever the pool width, so the trace
+// and the benchmark's pass metrics repeat. GOMAXPROCS is swapped
+// process-wide, so this test must not run in parallel with others.
+func TestPassStatsDeterministic(t *testing.T) {
+	in := basketInput(2000, 3)
+	minCount := MinCount(0.02, in.TotalGroups)
+	for _, m := range coreMembers() {
+		var passes [2][]PassStat
+		var used [2]int64
+		for i, width := range []int{1, runtime.GOMAXPROCS(0)} {
+			prev := runtime.GOMAXPROCS(width)
+			bud := NewBudget(context.Background(), 0)
+			m.LargeItemsets(in, minCount, bud)
+			runtime.GOMAXPROCS(prev)
+			passes[i], used[i] = bud.Passes(), bud.Used()
+		}
+		if len(passes[0]) == 0 {
+			t.Errorf("%s: no passes recorded", m.Name())
+		}
+		if !reflect.DeepEqual(passes[0], passes[1]) || used[0] != used[1] {
+			t.Errorf("%s: passes %v (%d charged) at GOMAXPROCS=1, %v (%d charged) at full width",
+				m.Name(), passes[0], used[0], passes[1], used[1])
 		}
 	}
 }

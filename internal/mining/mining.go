@@ -4,9 +4,17 @@
 // Figure 3.b:
 //
 //   - simple rules: a pool of classical large-itemset algorithms
-//     (levelwise gid-list Apriori [1,3], DHP-style hashing [12],
-//     Partition [13], Toivonen-style sampling [7]) followed by rule
-//     generation from itemsets;
+//     followed by rule generation from itemsets. The members share one
+//     counting substrate (kernel.go): packed per-item group covers of
+//     the frequent singletons, and one word-AND plus popcount that
+//     returns an itemset's group count. Each member is a
+//     candidate-generation and pass-scheduling strategy over it: the
+//     levelwise join of parent covers (Apriori [1,3], Bitmap), the
+//     join with the all-subsets prune and one counting call per level
+//     (horizontal Apriori, AprioriTid and AprioriHybrid [3], DHP's
+//     bucket filter [12]), Partition [13] and Toivonen-style sampling
+//     [7]. The paper's gid-list Apriori is kept in reference_test.go as
+//     the answer every member is checked against;
 //   - general rules: the m×n rule-lattice algorithm over elementary
 //     rules with (group, body cluster, head cluster) contexts.
 //
@@ -59,8 +67,8 @@ type Options struct {
 
 // Budget carries cancellation and the candidate ceiling into the mining
 // algorithms. A nil *Budget never trips, so every method is nil-safe.
-// The state is shared by Partition's parallel phase-1 workers, so the
-// counters are atomic.
+// The state is shared by the worker pool's goroutines, so the counters
+// are atomic.
 type Budget struct {
 	ctx     context.Context
 	max     int64
@@ -72,10 +80,14 @@ type Budget struct {
 	passes  []PassStat // guarded by mu
 }
 
-// PassStat records one levelwise pass for observability: the itemset
+// PassStat records one counting pass for observability: the itemset
 // size mined, how many candidates the pass generated, and how many
-// survived as large. Algorithms without a levelwise shape (the lattice
-// core, partition's merge) record nothing.
+// survived as large. The levelwise members record one pass per level.
+// Partition and Sampling record only their global counting pass, over
+// candidates of mixed sizes, as Level 0 (Sampling's exact fallback, when
+// it runs, adds its levelwise passes after it); the partitions and the
+// sample they mine first record nothing, so the passes do not depend on
+// how the worker pool schedules them. The lattice core records nothing.
 type PassStat struct {
 	Level      int
 	Candidates int
@@ -127,7 +139,7 @@ func (b *Budget) Err() error {
 	return b.err
 }
 
-// NotePass records one levelwise pass. Nil-safe; called once per pass,
+// NotePass records one counting pass. Nil-safe; called once per pass,
 // so the mutex is not on any hot path.
 func (b *Budget) NotePass(level, candidates, large int) {
 	if b == nil {
@@ -138,7 +150,7 @@ func (b *Budget) NotePass(level, candidates, large int) {
 	b.mu.Unlock()
 }
 
-// Passes returns a copy of the recorded levelwise passes.
+// Passes returns a copy of the recorded passes, in recording order.
 func (b *Budget) Passes() []PassStat {
 	if b == nil {
 		return nil
@@ -267,31 +279,6 @@ type SimpleInput struct {
 	// TotalGroups is the support denominator (Q1's count over the whole
 	// Source; it may exceed len(Groups) when a group HAVING filtered).
 	TotalGroups int
-	// Covers, when non-nil, holds each item's packed group cover (bit g
-	// set when group index g contains the item) over coverWords words —
-	// the bitmap miner's first-level representation, precomputed by
-	// PackCovers so the miner skips the per-row re-encode hop.
-	Covers     map[Item][]uint64
-	coverWords int
-}
-
-// PackCovers precomputes the packed per-item group covers consumed by
-// the bitmap miner's first level. Callers that will mine with a
-// cover-list algorithm instead can skip it.
-func (in *SimpleInput) PackCovers() {
-	words := (len(in.Groups) + 63) / 64
-	covers := make(map[Item][]uint64)
-	for g, tx := range in.Groups {
-		for _, it := range tx {
-			bm, ok := covers[it]
-			if !ok {
-				bm = make([]uint64, words)
-				covers[it] = bm
-			}
-			bm[g>>6] |= 1 << (uint(g) & 63)
-		}
-	}
-	in.Covers, in.coverWords = covers, words
 }
 
 // NewSimpleInputFromPairs builds the input from parallel (gid, item)
@@ -390,22 +377,4 @@ func sortItemsets(sets []Itemset) {
 		}
 		return compareItems(sets[i].Items, sets[j].Items) < 0
 	})
-}
-
-// containsAll reports whether the sorted transaction tx contains every
-// element of the sorted candidate items.
-func containsAll(tx, items []Item) bool {
-	i := 0
-	for _, t := range tx {
-		if i == len(items) {
-			return true
-		}
-		switch {
-		case t == items[i]:
-			i++
-		case t > items[i]:
-			return false
-		}
-	}
-	return i == len(items)
 }

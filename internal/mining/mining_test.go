@@ -3,8 +3,10 @@ package mining
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // txInput builds a SimpleInput from literal transactions.
@@ -79,17 +81,15 @@ func TestPoolAlgorithmsAgree(t *testing.T) {
 		Horizontal{Hashing: true},
 		AprioriTid{},
 		AprioriHybrid{},
-		AprioriHybrid{SwitchBelow: 1 << 30},
 		Partition{Partitions: 5},
-		Partition{Partitions: 5, Parallel: true},
 		Sampling{Fraction: 0.4, Seed: 42},
 	}
 	for _, minCount := range []int{2, 5, 12, 30} {
-		ref := uniqueSets(t, miners[0].Name(), miners[0].LargeItemsets(in, minCount, nil))
-		for _, m := range miners[1:] {
+		ref := uniqueSets(t, "reference", referenceApriori{}.LargeItemsets(in, minCount, nil))
+		for _, m := range miners {
 			got := uniqueSets(t, m.Name(), m.LargeItemsets(in, minCount, nil))
 			if !reflect.DeepEqual(got, ref) {
-				t.Errorf("minCount=%d: %s disagrees with apriori: %d vs %d sets",
+				t.Errorf("minCount=%d: %s disagrees with the gid-list reference: %d vs %d sets",
 					minCount, m.Name(), len(got), len(ref))
 			}
 		}
@@ -97,8 +97,9 @@ func TestPoolAlgorithmsAgree(t *testing.T) {
 }
 
 func TestPoolAgreementProperty(t *testing.T) {
-	// Property: for random small inputs, partition and DHP match the
-	// reference algorithm exactly.
+	// Property: for random small inputs, partition, DHP, AprioriTid and
+	// sampling match the gid-list reference exactly, and the reference's
+	// own counts match a brute-force scan.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var txs [][]Item
@@ -112,7 +113,13 @@ func TestPoolAgreementProperty(t *testing.T) {
 		}
 		in := txInput(txs...)
 		minCount := 1 + rng.Intn(6)
-		ref := setCounts(Apriori{}.LargeItemsets(in, minCount, nil))
+		refSets := referenceApriori{}.LargeItemsets(in, minCount, nil)
+		for _, s := range refSets {
+			if s.Count != scanCount(in, s.Items) {
+				return false
+			}
+		}
+		ref := setCounts(refSets)
 		if !reflect.DeepEqual(ref, setCounts((Partition{Partitions: 3}).LargeItemsets(in, minCount, nil))) {
 			return false
 		}
@@ -175,6 +182,37 @@ func TestCardinalityBounds(t *testing.T) {
 	}
 	if len(rules) != 3 { // the three splits of {2,3,5} with 2-item bodies
 		t.Errorf("got %d rules: %v", len(rules), rules)
+	}
+}
+
+// TestGenerateRulesWideItemset: a 21-item itemset must yield all 21
+// single-head rules; heads are enumerated by size, so no width cutoff
+// drops them and no 2^21 enumeration is paid.
+func TestGenerateRulesWideItemset(t *testing.T) {
+	wide := make([]Item, 21)
+	for i := range wide {
+		wide[i] = Item(i + 1)
+	}
+	sets := []Itemset{{Items: wide, Count: 5}}
+	for skip := range wide {
+		sub := append(append([]Item(nil), wide[:skip]...), wide[skip+1:]...)
+		sets = append(sets, Itemset{Items: sub, Count: 10})
+	}
+	start := time.Now()
+	rules := GenerateRules(sets, Options{
+		MinSupport: 0.1, MinConfidence: 0,
+		BodyCard: Card{Min: 1}, HeadCard: Card{Min: 1, Max: 1},
+	}, 10)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("took %v", elapsed)
+	}
+	if len(rules) != 21 {
+		t.Fatalf("got %d rules, want 21", len(rules))
+	}
+	for _, r := range rules {
+		if len(r.Body) != 20 || len(r.Head) != 1 || r.SupportCount != 5 || r.BodyCount != 10 || r.Confidence != 0.5 {
+			t.Errorf("rule %s (%d/%d)", r, r.SupportCount, r.BodyCount)
+		}
 	}
 }
 
@@ -440,26 +478,6 @@ func TestNormalizeItems(t *testing.T) {
 	}
 }
 
-func TestContainsAll(t *testing.T) {
-	tx := []Item{1, 3, 5, 9}
-	cases := []struct {
-		items []Item
-		want  bool
-	}{
-		{[]Item{1}, true},
-		{[]Item{1, 9}, true},
-		{[]Item{3, 5, 9}, true},
-		{[]Item{2}, false},
-		{[]Item{1, 4}, false},
-		{nil, true},
-	}
-	for _, c := range cases {
-		if got := containsAll(tx, c.items); got != c.want {
-			t.Errorf("containsAll(%v) = %v", c.items, got)
-		}
-	}
-}
-
 func TestSortRulesDeterminism(t *testing.T) {
 	rules := []Rule{
 		{Body: []Item{2}, Head: []Item{1}},
@@ -478,16 +496,10 @@ func TestSortRulesDeterminism(t *testing.T) {
 	}
 }
 
-func TestIntersect32(t *testing.T) {
-	got := intersect32([]int32{1, 3, 5, 7}, []int32{2, 3, 7, 9})
-	if !reflect.DeepEqual(got, []int32{3, 7}) {
-		t.Fatalf("got %v", got)
-	}
-	if len(intersect32(nil, []int32{1})) != 0 {
-		t.Fatal("nil intersection")
-	}
-}
-
+// TestPartitionParallelAgrees: Partition's phase 1 always runs on the
+// worker pool; its result must match the gid-list reference at
+// GOMAXPROCS 1 and at full width. GOMAXPROCS is swapped process-wide,
+// so this test must not run in parallel with others.
 func TestPartitionParallelAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var txs [][]Item
@@ -501,10 +513,14 @@ func TestPartitionParallelAgrees(t *testing.T) {
 	}
 	in := txInput(txs...)
 	for _, minCount := range []int{2, 8, 20} {
-		seq := setCounts((Partition{Partitions: 6}).LargeItemsets(in, minCount, nil))
-		par := setCounts((Partition{Partitions: 6, Parallel: true}).LargeItemsets(in, minCount, nil))
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("minCount=%d: parallel partition diverged", minCount)
+		want := referenceApriori{}.LargeItemsets(in, minCount, nil)
+		for _, width := range []int{1, runtime.GOMAXPROCS(0)} {
+			prev := runtime.GOMAXPROCS(width)
+			got := (Partition{Partitions: 6}).LargeItemsets(in, minCount, nil)
+			runtime.GOMAXPROCS(prev)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("minCount=%d GOMAXPROCS=%d: partition diverged from the reference", minCount, width)
+			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package mining
 
-import "sync"
-
 // Partition implements the two-pass algorithm of Savasere, Omiecinski
 // and Navathe [13]: the groups are divided into partitions small enough
 // to mine in memory; any globally large itemset must be locally large in
@@ -11,30 +9,28 @@ type Partition struct {
 	// Partitions is the number of partitions (default 4; clamped to the
 	// number of groups).
 	Partitions int
-	// Parallel mines the partitions concurrently — the independence of
-	// phase 1 is the algorithm's whole point, and Go makes it one
-	// WaitGroup; the original runs partitions sequentially to bound
-	// memory, which an in-memory engine need not do.
-	Parallel bool
 }
 
 // Name implements ItemsetMiner.
 func (p Partition) Name() string { return "partition" }
 
-// LargeItemsets implements ItemsetMiner. The budget is shared by the
-// phase-1 workers (its counters are atomic): once it trips, no further
-// partition is launched, already-running workers wind down at their next
-// pass boundary, and phase 2 is skipped.
+// LargeItemsets implements ItemsetMiner. Phase 1 mines the partitions
+// with the levelwise strategy, concurrently on the worker pool, and
+// records no passes; phase 2 counts the union once and records it as
+// one pass. The budget is shared by the phase-1 workers: once it trips,
+// no further partition starts, running ones wind down at their next
+// pass boundary, and nil is returned.
 func (p Partition) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []Itemset {
 	nparts := p.Partitions
 	if nparts <= 0 {
 		nparts = 4
 	}
+	cv := newCovers(in, minCount)
 	if nparts > len(in.Groups) {
 		nparts = len(in.Groups)
 	}
 	if nparts <= 1 {
-		return Apriori{}.LargeItemsets(in, minCount, bud)
+		return levelwise(cv, minCount, bud, true)
 	}
 
 	// Phase 1: local large itemsets per partition. The local threshold
@@ -42,78 +38,44 @@ func (p Partition) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []I
 	// reproducing the paper's ⌈minsup·|partition|⌉ rule. TotalGroups may
 	// exceed len(Groups) (group HAVING); the ratio keeps the local
 	// threshold consistent with the global count threshold.
-	candidates := make(map[string][]Item)
 	per := (len(in.Groups) + nparts - 1) / nparts
-	minePart := func(start int) []Itemset {
-		end := start + per
-		if end > len(in.Groups) {
-			end = len(in.Groups)
-		}
-		part := &SimpleInput{Groups: in.Groups[start:end], TotalGroups: end - start}
-		localMin := MinCount(float64(minCount)/float64(len(in.Groups)), end-start)
-		return Apriori{}.LargeItemsets(part, localMin, bud)
-	}
-	if p.Parallel {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for start := 0; start < len(in.Groups); start += per {
-			if bud.Stop() {
-				break // budget tripped: launch no further workers
-			}
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				if bud.Stop() {
-					return
-				}
-				local := minePart(start)
-				mu.Lock()
-				for _, s := range local {
-					candidates[key(s.Items)] = s.Items
-				}
-				mu.Unlock()
-			}(start)
-		}
-		wg.Wait()
-	} else {
-		for start := 0; start < len(in.Groups); start += per {
-			if bud.Stop() {
-				break
-			}
-			for _, s := range minePart(start) {
-				candidates[key(s.Items)] = s.Items
-			}
-		}
-	}
+	nparts = (len(in.Groups) + per - 1) / per
+	local := make([][]Itemset, nparts)
+	parallelFor(nparts, bud, func(pi int) {
+		part := &SimpleInput{Groups: in.Groups[pi*per : min((pi+1)*per, len(in.Groups))]}
+		localMin := MinCount(float64(minCount)/float64(len(in.Groups)), len(part.Groups))
+		local[pi] = levelwise(newCovers(part, localMin), localMin, bud, false)
+	})
 	if bud.Stop() {
 		return nil // phase 1 incomplete; phase-2 counting would be wrong
 	}
 
-	// Phase 2: one global counting pass over the candidate union.
-	cands := make([][]Item, 0, len(candidates))
-	for _, items := range candidates {
-		cands = append(cands, items)
+	// Phase 2: one global counting pass over the candidate union, taken
+	// in partition order.
+	seen := make(map[string]bool)
+	var cands [][]Item
+	for _, sets := range local {
+		for _, s := range sets {
+			if k := key(s.Items); !seen[k] {
+				seen[k] = true
+				cands = append(cands, s.Items)
+			}
+		}
 	}
 	if !bud.Charge(len(cands)) {
 		return nil
 	}
-	counts := make([]int, len(cands))
-	for _, tx := range in.Groups {
-		if bud.Stop() {
-			return nil
-		}
-		for ci, c := range cands {
-			if containsAll(tx, c) {
-				counts[ci]++
-			}
-		}
+	counts := cv.countSets(cands, bud)
+	if bud.Stop() {
+		return nil
 	}
 	var out []Itemset
-	for ci, c := range cands {
-		if counts[ci] >= minCount {
-			out = append(out, Itemset{Items: c, Count: counts[ci]})
+	for i, c := range cands {
+		if counts[i] >= minCount {
+			out = append(out, Itemset{Items: c, Count: counts[i]})
 		}
 	}
+	bud.NotePass(0, len(cands), len(out))
 	sortItemsets(out)
 	return out
 }

@@ -6,10 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// minParallelLevel is the smallest levelwise pass (measured in level
-// entries) worth fanning out: below it the goroutine hand-off costs more
-// than the pass itself, so the algorithms fall back to their sequential
-// loops. Tiny inputs therefore run exactly the pre-parallel code path.
+// minParallelLevel is the smallest level (in entries) whose join is
+// worth fanning out: below it the goroutine hand-off costs more than the
+// join itself, so joinRuns runs it sequentially.
 const minParallelLevel = 64
 
 // parallelFor runs fn(i) for every i in [0, n) on a bounded worker pool
@@ -70,42 +69,15 @@ func parallelFor(n int, bud *Budget, fn func(i int)) {
 	}
 }
 
-// maxWorkers is the pool width: one worker per available CPU.
-func maxWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// groupChunks splits the group list into one contiguous chunk per
-// worker, or a single chunk when the input is too small to be worth
-// fanning out (counting a few hundred groups is cheaper than the merge).
-func groupChunks(groups [][]Item) [][][]Item {
-	workers := maxWorkers()
-	const minGroupsPerChunk = 256
-	if workers <= 1 || len(groups) < 2*minGroupsPerChunk {
-		return [][][]Item{groups}
-	}
-	per := (len(groups) + workers - 1) / workers
-	if per < minGroupsPerChunk {
-		per = minGroupsPerChunk
-	}
-	var chunks [][][]Item
-	for start := 0; start < len(groups); start += per {
-		end := start + per
-		if end > len(groups) {
-			end = len(groups)
-		}
-		chunks = append(chunks, groups[start:end])
-	}
-	return chunks
-}
-
-// prefixRuns partitions the canonically-sorted level [0, n) into maximal
-// runs of entries sharing their first k-1 items — the unit the levelwise
-// join fans out over, because candidates are only generated within a
-// run. items(i) returns the i-th entry's itemset.
-func prefixRuns(n int, items func(int) []Item) [][2]int {
+// prefixRuns partitions the canonically-sorted level into maximal runs
+// of entries sharing their first k-1 items — the unit the levelwise
+// joins fan out over, because candidates are only generated within a
+// run. items returns an entry's itemset.
+func prefixRuns[N any](level []N, items func(N) []Item) [][2]int {
 	var runs [][2]int
-	for i := 0; i < n; {
+	for i := 0; i < len(level); {
 		j := i + 1
-		for j < n && samePrefix(items(i), items(j)) {
+		for j < len(level) && samePrefix(items(level[i]), items(level[j])) {
 			j++
 		}
 		runs = append(runs, [2]int{i, j})
@@ -114,21 +86,49 @@ func prefixRuns(n int, items func(int) []Item) [][2]int {
 	return runs
 }
 
-// pairCandidates counts the candidates the next levelwise join will
-// examine: Σ C(runLen, 2) over the level's prefix runs. Used only for
-// pass statistics, so the extra prefix scan is off the join itself.
-// Generic over the level's node type (with a capture-free items
-// accessor) and counting runs inline, so it allocates nothing.
-func pairCandidates[N any](level []N, items func(N) []Item) int {
+// pairCandidates counts the candidates a join over runs examines:
+// Σ C(runLen, 2). Used only for pass statistics.
+func pairCandidates(runs [][2]int) int {
 	c := 0
-	for i := 0; i < len(level); {
-		j := i + 1
-		for j < len(level) && samePrefix(items(level[i]), items(level[j])) {
-			j++
-		}
-		m := j - i
+	for _, r := range runs {
+		m := r[1] - r[0]
 		c += m * (m - 1) / 2
-		i = j
 	}
 	return c
+}
+
+// joinRuns applies join to every prefix run of level and concatenates
+// the outputs in run order, which reproduces the sequential candidate
+// order at any pool width. Levels of at least minParallelLevel entries
+// fan their runs out over the pool; smaller ones run sequentially.
+func joinRuns[N, T any](level []N, runs [][2]int, bud *Budget, join func(run []N) []T) []T {
+	results := make([][]T, len(runs))
+	unit := func(ri int) { results[ri] = join(level[runs[ri][0]:runs[ri][1]]) }
+	if len(level) < minParallelLevel {
+		for ri := range runs {
+			if bud.Stop() {
+				break
+			}
+			unit(ri)
+		}
+	} else {
+		parallelFor(len(runs), bud, unit)
+	}
+	if len(results) == 1 {
+		return results[0]
+	}
+	var out []T
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	return out
+}
+
+func samePrefix(a, b []Item) bool {
+	for i := 0; i < len(a)-1; i++ {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

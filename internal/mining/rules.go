@@ -5,7 +5,8 @@ package mining
 // emitted when it satisfies the confidence threshold and the cardinality
 // specifications. Support of a rule is the support of L; confidence
 // divides by the support of the body, which is available because every
-// subset of a large itemset is large.
+// subset of a large itemset is large. Heads are enumerated by size, and
+// only sizes the cardinalities allow are enumerated at all.
 func GenerateRules(itemsets []Itemset, opts Options, totalGroups int) []Rule {
 	supp := make(map[string]int, len(itemsets))
 	for _, s := range itemsets {
@@ -21,50 +22,41 @@ func GenerateRules(itemsets []Itemset, opts Options, totalGroups int) []Rule {
 			break
 		}
 		l := s.Items
-		if len(l) < 2 || s.Count < minCount {
+		n := len(l)
+		if n < 2 || s.Count < minCount {
 			continue
 		}
-		if !opts.BodyCard.allows(len(l)-1) && !opts.HeadCard.allows(len(l)-1) {
-			// Even the most lopsided split cannot fit; cheap skip of the
-			// subset enumeration for oversized itemsets.
-			if len(l)-1 > maxBound(opts.BodyCard) && len(l)-1 > maxBound(opts.HeadCard) {
+		for h := 1; h < n; h++ {
+			if !opts.HeadCard.contains(h) || !opts.BodyCard.contains(n-h) {
 				continue
 			}
-		}
-		// Enumerate head subsets by bitmask; itemsets beyond 20 items
-		// are split via the bounded enumeration below.
-		n := len(l)
-		if n > 20 {
-			continue // beyond any realistic large-itemset size at sane supports
-		}
-		for mask := 1; mask < (1<<n)-1; mask++ {
-			body = body[:0]
-			head = head[:0]
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					head = append(head, l[i])
-				} else {
-					body = append(body, l[i])
+			combinations(n, h, func(pick []int) {
+				body, head = body[:0], head[:0]
+				p := 0
+				for i, it := range l {
+					if p < len(pick) && pick[p] == i {
+						head = append(head, it)
+						p++
+					} else {
+						body = append(body, it)
+					}
 				}
-			}
-			if !opts.HeadCard.contains(len(head)) || !opts.BodyCard.contains(len(body)) {
-				continue
-			}
-			bs, ok := supp[key(body)]
-			if !ok || bs == 0 {
-				continue
-			}
-			conf := float64(s.Count) / float64(bs)
-			if conf < opts.MinConfidence {
-				continue
-			}
-			rules = append(rules, Rule{
-				Body:         append([]Item(nil), body...),
-				Head:         append([]Item(nil), head...),
-				SupportCount: s.Count,
-				BodyCount:    bs,
-				Support:      float64(s.Count) / float64(totalGroups),
-				Confidence:   conf,
+				bs, ok := supp[key(body)]
+				if !ok || bs == 0 {
+					return
+				}
+				conf := float64(s.Count) / float64(bs)
+				if conf < opts.MinConfidence {
+					return
+				}
+				rules = append(rules, Rule{
+					Body:         append([]Item(nil), body...),
+					Head:         append([]Item(nil), head...),
+					SupportCount: s.Count,
+					BodyCount:    bs,
+					Support:      float64(s.Count) / float64(totalGroups),
+					Confidence:   conf,
+				})
 			})
 		}
 	}
@@ -72,11 +64,27 @@ func GenerateRules(itemsets []Itemset, opts Options, totalGroups int) []Rule {
 	return rules
 }
 
-func maxBound(c Card) int {
-	if c.Max == 0 {
-		return 1 << 30
+// combinations calls fn with every k-subset of [0, n) as ascending
+// indexes, in lexicographic order; fn must not keep the slice.
+func combinations(n, k int, fn func(pick []int)) {
+	pick := make([]int, k)
+	for i := range pick {
+		pick[i] = i
 	}
-	return c.Max
+	for {
+		fn(pick)
+		i := k - 1
+		for i >= 0 && pick[i] == n-k+i {
+			i--
+		}
+		if i < 0 {
+			return
+		}
+		pick[i]++
+		for j := i + 1; j < k; j++ {
+			pick[j] = pick[j-1] + 1
+		}
+	}
 }
 
 // MineSimple runs one pool algorithm end to end: large itemsets, then

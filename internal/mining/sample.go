@@ -22,8 +22,11 @@ type Sampling struct {
 // Name implements ItemsetMiner.
 func (s Sampling) Name() string { return "sampling" }
 
-// LargeItemsets implements ItemsetMiner. The budget flows into the
-// delegated Apriori runs and is charged for the verification candidates.
+// LargeItemsets implements ItemsetMiner. The sample is mined with the
+// levelwise strategy and records no passes; the verification counts the
+// sample-large sets and their border in one call and records it as one
+// pass. The exact fallback, when it runs, records its levelwise passes
+// after that one.
 func (s Sampling) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []Itemset {
 	frac := s.Fraction
 	if frac <= 0 || frac > 1 {
@@ -37,14 +40,15 @@ func (s Sampling) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []It
 	if seed == 0 {
 		seed = 1
 	}
+	cv := newCovers(in, minCount)
 	sampleSize := int(frac * float64(len(in.Groups)))
 	if sampleSize < 1 {
-		return Apriori{}.LargeItemsets(in, minCount, bud)
+		return levelwise(cv, minCount, bud, true)
 	}
 
 	rng := rand.New(rand.NewSource(seed))
 	idx := rng.Perm(len(in.Groups))[:sampleSize]
-	sample := &SimpleInput{Groups: make([][]Item, sampleSize), TotalGroups: sampleSize}
+	sample := &SimpleInput{Groups: make([][]Item, sampleSize)}
 	for i, j := range idx {
 		sample.Groups[i] = in.Groups[j]
 	}
@@ -52,108 +56,63 @@ func (s Sampling) LargeItemsets(in *SimpleInput, minCount int, bud *Budget) []It
 	// Mine the sample at the lowered threshold.
 	globalSupp := float64(minCount) / float64(len(in.Groups))
 	localMin := MinCount(lowered*globalSupp, sampleSize)
-	sampleLarge := Apriori{}.LargeItemsets(sample, localMin, bud)
+	sampleLarge := levelwise(newCovers(sample, localMin), localMin, bud, false)
 
-	// Candidates: the sample-large sets plus their negative border (the
-	// minimal sets not in the collection, obtained by one Apriori join
-	// over each level plus all non-large singletons).
-	cands := make(map[string][]Item, len(sampleLarge))
-	for _, it := range sampleLarge {
-		cands[key(it.Items)] = it.Items
+	// Full-data verification of the sample-large sets and their border.
+	cands := make([][]Item, len(sampleLarge))
+	for i, st := range sampleLarge {
+		cands[i] = st.Items
 	}
-	border := negativeBorder(in, sampleLarge, cands)
-
-	all := make([][]Item, 0, len(cands)+len(border))
-	inBorder := make([]bool, 0, len(cands)+len(border))
-	for _, items := range cands {
-		all = append(all, items)
-		inBorder = append(inBorder, false)
-	}
-	for _, items := range border {
-		all = append(all, items)
-		inBorder = append(inBorder, true)
-	}
-	if !bud.Charge(len(all)) {
+	cands = append(cands, negativeBorder(cv.items, sampleLarge)...)
+	if !bud.Charge(len(cands)) {
 		return nil
 	}
-
-	// Full-data verification pass.
-	counts := make([]int, len(all))
-	for _, tx := range in.Groups {
-		for ci, c := range all {
-			if containsAll(tx, c) {
-				counts[ci]++
-			}
-		}
-	}
-	for ci := range all {
-		if inBorder[ci] && counts[ci] >= minCount {
-			// A border set is globally large: the sample was unlucky.
-			// Fall back to the exact algorithm for a guaranteed-complete
-			// answer.
-			return Apriori{}.LargeItemsets(in, minCount, bud)
-		}
+	counts := cv.countSets(cands, bud)
+	if bud.Stop() {
+		return nil
 	}
 	var out []Itemset
-	for ci, c := range all {
-		if !inBorder[ci] && counts[ci] >= minCount {
-			out = append(out, Itemset{Items: c, Count: counts[ci]})
+	missed := false
+	for i, c := range cands {
+		switch {
+		case counts[i] < minCount:
+		case i < len(sampleLarge):
+			out = append(out, Itemset{Items: c, Count: counts[i]})
+		default:
+			missed = true
 		}
 	}
-	sortItemsets(out)
+	bud.NotePass(0, len(cands), len(out))
+	if missed {
+		// A border set is globally large: the sample was unlucky. Fall
+		// back to the exact strategy for a guaranteed-complete answer.
+		return levelwise(cv, minCount, bud, true)
+	}
 	return out
 }
 
 // negativeBorder returns the minimal itemsets just outside the
-// sample-large collection: every singleton not in it, and every Apriori
-// join of same-level members whose result is absent.
-func negativeBorder(in *SimpleInput, large []Itemset, have map[string][]Item) [][]Item {
+// canonically sorted sample-large collection that could be globally
+// large: every frequent singleton not in it, and every Apriori join of
+// same-level members whose result is absent. Singletons below the
+// global threshold are left out; they cannot be large.
+func negativeBorder(frequent []Item, large []Itemset) [][]Item {
+	have := make(map[string]bool, len(large))
+	for _, s := range large {
+		have[key(s.Items)] = true
+	}
 	var border [][]Item
-	seen := make(map[string]bool)
-
-	// Singletons never seen as large in the sample.
-	inLarge := make(map[Item]bool)
-	for _, s := range large {
-		if len(s.Items) == 1 {
-			inLarge[s.Items[0]] = true
-		}
-	}
-	singles := make(map[Item]bool)
-	for _, tx := range in.Groups {
-		for _, it := range tx {
-			singles[it] = true
-		}
-	}
-	for it := range singles {
-		if !inLarge[it] {
-			items := []Item{it}
+	for _, it := range frequent {
+		if items := []Item{it}; !have[key(items)] {
 			border = append(border, items)
-			seen[key(items)] = true
 		}
 	}
-
-	// Joins of same-level sample-large sets that are not themselves in
-	// the collection.
-	byLevel := make(map[int][]Itemset)
-	for _, s := range large {
-		byLevel[len(s.Items)] = append(byLevel[len(s.Items)], s)
-	}
-	for _, level := range byLevel {
-		sortItemsets(level)
-		for i := 0; i < len(level); i++ {
-			for j := i + 1; j < len(level); j++ {
-				a, b := level[i].Items, level[j].Items
-				if !samePrefix(a, b) {
-					break
-				}
-				c := make([]Item, len(a)+1)
-				copy(c, a)
-				c[len(a)] = b[len(b)-1]
-				k := key(c)
-				if _, ok := have[k]; ok || seen[k] {
-					continue
-				}
-				seen[k] = true
+	for i, a := range large {
+		for _, b := range large[i+1:] {
+			if len(b.Items) != len(a.Items) || !samePrefix(a.Items, b.Items) {
+				break
+			}
+			if c := extend(a.Items, b.Items); !have[key(c)] {
 				border = append(border, c)
 			}
 		}
