@@ -564,12 +564,12 @@ func namedValues(vals []sqldriver.Value) []sqldriver.NamedValue {
 // rows streams response frames lazily: each Next reads one frame, so a
 // large result (or a long rule stream) never materializes client-side.
 type rows struct {
-	c    *conn
-	ctx  context.Context
-	stop func() // disarms the cancellation watchdog
-	cols []string
-	tags []byte
-	done bool
+	c     *conn
+	ctx   context.Context
+	stop  func() // disarms the cancellation watchdog
+	cols  []string
+	tags  []byte
+	done  bool
 	rowsN int64
 }
 

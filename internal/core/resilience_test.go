@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -346,6 +347,113 @@ func TestPerAlgorithmCandidateBudget(t *testing.T) {
 			}
 			if !errors.Is(err, resource.ErrBudgetExceeded) {
 				t.Fatalf("error does not match ErrBudgetExceeded: %v", err)
+			}
+		})
+	}
+}
+
+// TestRuleOutputAtomic pauses a run at the postprocessor's last decode
+// statement and reads the user-readable tables from a second
+// connection: the decoded rules must appear all at once, at the decode
+// transaction's commit, never ahead of their body and head rows. A
+// failure at that statement must leave no output table behind.
+func TestRuleOutputAtomic(t *testing.T) {
+	cases := []struct {
+		name, stmt string
+		outputs    []string
+	}{
+		{"simple", simpleStatement, []string{"SimpleAssoc", "SimpleAssoc_Bodies", "SimpleAssoc_Heads"}},
+		{"general", paperStatement, []string{"FilteredOrderedSets", "FilteredOrderedSets_Bodies", "FilteredOrderedSets_Heads"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := purchaseDB(t)
+			ex, err := Explain(db, tc.stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := ex.Decode[len(ex.Decode)-1]
+			paused, resume := make(chan struct{}), make(chan struct{})
+			release := sync.OnceFunc(func() { close(resume) })
+			defer release()
+			db.SetExecHook(func(sql string) error {
+				if sql == last {
+					close(paused)
+					<-resume
+				}
+				return nil
+			})
+			done := make(chan error, 1)
+			go func() {
+				_, err := Mine(db, tc.stmt, Options{})
+				done <- err
+			}()
+			select {
+			case <-paused:
+			case err := <-done:
+				t.Fatalf("run ended before its last decode statement: %v", err)
+			}
+			c := db.Conn()
+			for _, out := range tc.outputs {
+				res, err := c.Exec("SELECT COUNT(*) FROM " + out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := res.Rows[0][0].Int(); n != 0 {
+					t.Errorf("paused at the last decode statement, %s already shows %d row(s)", out, n)
+				}
+			}
+			c.Close()
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			db.SetExecHook(nil)
+
+			ids := func(table, col string) map[int64]bool {
+				res, err := db.Query("SELECT " + col + " FROM " + table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make(map[int64]bool, len(res.Rows))
+				for _, r := range res.Rows {
+					out[r[0].Int()] = true
+				}
+				return out
+			}
+			bodies, heads := ids(tc.outputs[1], "BodyId"), ids(tc.outputs[2], "HeadId")
+			rules := ids(tc.outputs[0], "BodyId")
+			if len(rules) == 0 {
+				t.Fatal("run produced no rules")
+			}
+			for id := range rules {
+				if !bodies[id] {
+					t.Errorf("BodyId %d has no rows in %s", id, tc.outputs[1])
+				}
+			}
+			for id := range ids(tc.outputs[0], "HeadId") {
+				if !heads[id] {
+					t.Errorf("HeadId %d has no rows in %s", id, tc.outputs[2])
+				}
+			}
+
+			// A failure at the same statement leaves no output behind.
+			db = purchaseDB(t)
+			pre := catalogSnapshot(db)
+			db.SetExecHook(func(sql string) error {
+				if sql == last {
+					return fault.ErrInjected
+				}
+				return nil
+			})
+			_, err = Mine(db, tc.stmt, Options{})
+			db.SetExecHook(nil)
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("error does not wrap ErrInjected: %v", err)
+			}
+			added, removed := diffSnapshots(pre, catalogSnapshot(db))
+			if len(added) > 0 || len(removed) > 0 {
+				t.Errorf("catalog changed after failed run: added %v removed %v", added, removed)
 			}
 		})
 	}

@@ -34,26 +34,14 @@ func (e *EmptyItemsetError) Error() string {
 // tables (OutputRules, OutputBodies, OutputHeads) the preprocessor
 // created. Bodies and heads are dictionary-compressed: identical
 // itemsets across rules share one identifier, as §4.4's normalized form
-// intends. Rows go through the storage layer directly — the paper's core
-// operator likewise hands its result to the DBMS without re-parsing SQL.
-// Rules with an empty body or head fail with *EmptyItemsetError before
-// anything is written.
+// intends. The three tables fill in one transaction, so they become
+// visible together at one commit stamp — the paper's core operator
+// likewise hands its result to the DBMS without re-parsing SQL, and the
+// result carries the DBMS's guarantees. Rules with an empty body or
+// head fail with *EmptyItemsetError before anything is written.
 func StoreEncoded(ctx context.Context, db *engine.Database, tr *translator.Translation, rules []mining.Rule) error {
 	if err := resource.Check(ctx); err != nil {
 		return fmt.Errorf("postproc: %w", err)
-	}
-	n := tr.Names
-	rulesT, ok := db.Catalog().Table(n.OutputRules)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s (preprocessor not run?)", n.OutputRules)
-	}
-	bodiesT, ok := db.Catalog().Table(n.OutputBodies)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s", n.OutputBodies)
-	}
-	headsT, ok := db.Catalog().Table(n.OutputHeads)
-	if !ok {
-		return fmt.Errorf("postproc: missing %s", n.OutputHeads)
 	}
 
 	bodyIDs := make(map[string]int64)
@@ -89,13 +77,15 @@ func StoreEncoded(ctx context.Context, db *engine.Database, tr *translator.Trans
 			value.NewFloat(r.Confidence),
 		})
 	}
-	if err := rulesT.InsertAll(ruleRows); err != nil {
-		return err
+	n := tr.Names
+	if err := db.AppendRows(ctx,
+		engine.TableRows{Table: n.OutputRules, Rows: ruleRows},
+		engine.TableRows{Table: n.OutputBodies, Rows: bodyRows},
+		engine.TableRows{Table: n.OutputHeads, Rows: headRows},
+	); err != nil {
+		return fmt.Errorf("postproc: %w", err)
 	}
-	if err := bodiesT.InsertAll(bodyRows); err != nil {
-		return err
-	}
-	return headsT.InsertAll(headRows)
+	return nil
 }
 
 func itemsKey(items []mining.Item) string {
@@ -112,10 +102,18 @@ func itemsKey(items []mining.Item) string {
 }
 
 // Decode runs the translator's decode programs, producing the
-// user-readable output tables.
+// user-readable output tables. The programs run inside one explicit
+// transaction on their own connection, so the decoded rows of all three
+// tables become visible at a single commit stamp: a concurrent reader
+// never sees a rule whose body or head rows are not there yet. The
+// CREATE TABLE statements among them are DDL, which takes effect at
+// once and is not undone by the rollback a failure triggers (see
+// txn.Txn); the caller drops the output tables of a failed run.
 func Decode(ctx context.Context, db *engine.Database, tr *translator.Translation) error {
-	for _, q := range tr.Program.Decode {
-		if _, err := db.ExecContext(ctx, q); err != nil {
+	c := db.Conn()
+	defer c.Close() // rolls back unless COMMIT ran
+	for _, q := range append(append([]string{"BEGIN"}, tr.Program.Decode...), "COMMIT") {
+		if _, err := c.ExecContext(ctx, q); err != nil {
 			return fmt.Errorf("postproc: %w", err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // scanSQL walks a statement text outside of string literals ('…' with
-// '' escapes), delimited identifiers ("…"), line comments (-- …) and
+// ” escapes), delimited identifiers ("…"), line comments (-- …) and
 // block comments (/* … */), and reports the byte offsets of its ?
 // placeholders plus whether a top-level ';' separates two statements
 // (which routes the text down the script path). The SQL lexer has no

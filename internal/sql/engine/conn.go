@@ -285,8 +285,7 @@ func (db *Database) execStatement(ctx context.Context, tx *txn.Txn, auto bool, s
 }
 
 // getRuntime takes a pooled executor runtime; putRuntime returns it.
-// Pooling keeps the autocommit fast path allocation-free and lets a
-// runtime's view-plan and join-order caches survive across statements.
+// Pooling keeps the autocommit fast path allocation-free.
 func (db *Database) getRuntime() *exec.Runtime {
 	rt := db.rtPool.Get().(*exec.Runtime)
 	rt.RowMode(db.rowMode.Load())

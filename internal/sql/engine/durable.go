@@ -86,10 +86,11 @@ type snapshot struct {
 }
 
 // store is the durable backend of a Database: it implements
-// storage.Journal (every catalog and table mutation reaches the WAL
-// before it is applied in memory) and txn.CommitJournal (transactions
-// log their write set as one atomic frame and wait for durability
-// through the shared group-commit fsync).
+// storage.Journal (every catalog mutation and sequence bump reaches the
+// WAL before it is applied in memory) and txn.CommitJournal (table rows
+// reach the WAL only as a transaction's write set, logged as one atomic
+// frame that waits for durability through the shared group-commit
+// fsync).
 //
 // Lock order (see DESIGN.md §16): syncMu → Catalog publish lock →
 // catalog/table/sequence locks → walMu. walMu is terminal: nothing is
@@ -354,9 +355,7 @@ func (s *store) loadSnapshot(dir string) (*snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.InsertAll(rows); err != nil {
-			return nil, err
-		}
+		publishRows(s.cat, t, false, rows)
 	}
 	for _, v := range snap.Views {
 		if err := s.cat.CreateView(v.Name, v.Text); err != nil {
@@ -379,15 +378,11 @@ func (s *store) loadSnapshot(dir string) (*snapshot, error) {
 }
 
 // applyRecord redoes one WAL record against the catalog. It is only
-// called with the journal detached (recovery), so nothing re-logs.
+// called with the journal detached (recovery), so nothing re-logs. Row
+// records — standalone ones, which logs written before every row write
+// became a transaction commit still hold, and the subs of a KindTxn
+// frame — go through publishRows.
 func applyRecord(cat *storage.Catalog, r *wal.Record) error {
-	table := func() (*storage.Table, error) {
-		t, ok := cat.Table(r.Name)
-		if !ok {
-			return nil, fmt.Errorf("engine: %s record for unknown table %q", r.Kind, r.Name)
-		}
-		return t, nil
-	}
 	switch r.Kind {
 	case wal.KindCreateTable:
 		_, err := cat.CreateTable(r.Name, schema.New(r.Name, r.Cols...))
@@ -408,24 +403,13 @@ func applyRecord(cat *storage.Catalog, r *wal.Record) error {
 		return err
 	case wal.KindDropIndex:
 		return cat.DropIndex(r.Name)
-	case wal.KindInsert:
-		t, err := table()
-		if err != nil {
-			return err
+	case wal.KindInsert, wal.KindTruncate, wal.KindReplace:
+		t, ok := cat.Table(r.Name)
+		if !ok {
+			return fmt.Errorf("engine: %s record for unknown table %q", r.Kind, r.Name)
 		}
-		return t.InsertAll(r.Rows)
-	case wal.KindTruncate:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		return t.Truncate()
-	case wal.KindReplace:
-		t, err := table()
-		if err != nil {
-			return err
-		}
-		return t.Replace(r.Rows)
+		publishRows(cat, t, r.Kind != wal.KindInsert, r.Rows)
+		return nil
 	case wal.KindSeqBump:
 		sq, ok := cat.Sequence(r.Name)
 		if !ok {
@@ -448,6 +432,23 @@ func applyRecord(cat *storage.Catalog, r *wal.Record) error {
 	default:
 		return fmt.Errorf("engine: unknown WAL record kind %d", r.Kind)
 	}
+}
+
+// publishRows redoes one row batch the way a commit publishes it: under
+// the catalog's publish lock, at a fresh stamp from its clock, through
+// PublishAppend or, for a whole-table rewrite (replace), PublishReplace.
+// Recovery runs before any snapshot is registered, so the stamp is also
+// the low-water mark and no history is kept.
+func publishRows(cat *storage.Catalog, t *storage.Table, replace bool, rows []schema.Row) {
+	cat.LockPublish()
+	defer cat.UnlockPublish()
+	stamp := cat.Stamps().Next(0)
+	if replace {
+		t.PublishReplace(stamp, rows, stamp)
+	} else {
+		t.PublishAppend(stamp, rows, stamp)
+	}
+	cat.Stamps().SetVisible(stamp)
 }
 
 // ---------------------------------------------------------------------------
@@ -671,18 +672,6 @@ func (s *store) CreateIndex(name, table string, col int) error {
 
 func (s *store) DropIndex(name string) error {
 	return s.append(&wal.Record{Kind: wal.KindDropIndex, Name: name})
-}
-
-func (s *store) Insert(table string, rows []schema.Row) error {
-	return s.append(&wal.Record{Kind: wal.KindInsert, Name: table, Rows: rows})
-}
-
-func (s *store) Truncate(table string) error {
-	return s.append(&wal.Record{Kind: wal.KindTruncate, Name: table})
-}
-
-func (s *store) Replace(table string, rows []schema.Row) error {
-	return s.append(&wal.Record{Kind: wal.KindReplace, Name: table, Rows: rows})
 }
 
 func (s *store) SequenceBump(name string, next int64) error {

@@ -101,8 +101,8 @@ func TestWALPrefixProperty(t *testing.T) {
 			if !ok {
 				t.Fatalf("@%d: table %s missing", end, name)
 			}
-			if tab.Len() != rows {
-				t.Fatalf("@%d: %s has %d rows, want %d", end, name, tab.Len(), rows)
+			if n := tab.LenAt(rec.cat.Stamps().Visible()); n != rows {
+				t.Fatalf("@%d: %s has %d rows, want %d", end, name, n, rows)
 			}
 			// Index contents must agree with a full scan: every row is
 			// reachable through its bucket, nothing else is.
@@ -147,8 +147,8 @@ func TestWALPrefixProperty(t *testing.T) {
 			t.Fatalf("@%d: second replay bumped the version", end)
 		}
 		for name, rows := range want.rows {
-			if tab, _ := rec.Catalog().Table(name); tab.Len() != rows {
-				t.Fatalf("@%d: second replay changed %s to %d rows", end, name, tab.Len())
+			if tab, _ := rec.Catalog().Table(name); tab.LenAt(rec.cat.Stamps().Visible()) != rows {
+				t.Fatalf("@%d: second replay changed %s to %d rows", end, name, tab.LenAt(rec.cat.Stamps().Visible()))
 			}
 		}
 		if err := rec.Close(); err != nil {

@@ -48,9 +48,12 @@ type Database struct {
 	// surface; sessions wanting their own transaction scope call Conn().
 	def *Conn
 	// rtPool recycles executor runtimes: one is taken per statement, so
-	// concurrent statements never share bind-time state, and a pooled
-	// runtime keeps its view-plan and join-order caches warm.
+	// concurrent statements never share bind-time state. A runtime holds
+	// only per-statement scratch, so the pool may drop any of them.
 	rtPool sync.Pool
+	// plans is the executor's view-plan and join-order cache, shared by
+	// every runtime of the database (see exec.PlanCache).
+	plans exec.PlanCache
 	// rowMode selects the row-at-a-time reference executor for
 	// subsequently executed statements (differential-testing oracle).
 	rowMode atomic.Bool
@@ -90,11 +93,7 @@ func newDatabase() *Database {
 	met := &obsv.Metrics{}
 	db := &Database{cat: cat, met: met}
 	db.def = &Conn{db: db}
-	db.rtPool.New = func() any {
-		rt := exec.NewRuntime(cat)
-		rt.Met = met
-		return rt
-	}
+	db.rtPool.New = func() any { return &exec.Runtime{Met: met, Plans: &db.plans} }
 	return db
 }
 
@@ -416,53 +415,84 @@ func (db *Database) importRecords(ctx context.Context, name string, header []str
 		cols[i] = schema.Column{Name: parts[0], Type: t}
 	}
 	tx := db.mgr.Begin()
-	defer db.mgr.Release(tx)
-	tx.SetLimits(db.Limits())
-	if _, err := tx.CreateTable(ctx, name, schema.New(name, cols...)); err != nil {
+	_, err := tx.CreateTable(ctx, name, schema.New(name, cols...))
+	var rows []schema.Row
+	if err == nil {
+		rows, err = readRecords(cr, cols)
+	}
+	if err != nil {
 		tx.Rollback()
+		db.mgr.Release(tx)
 		return 0, err
 	}
-	tab, ok, err := tx.ForWrite(ctx, name)
-	if err != nil || !ok {
-		tx.Rollback()
-		if err == nil {
-			err = fmt.Errorf("engine: table %q vanished during import", name)
-		}
+	if err := db.commitRows(ctx, tx, []TableRows{{Table: name, Rows: rows}}); err != nil {
 		return 0, err
 	}
+	return len(rows), nil
+}
+
+// readRecords parses every remaining CSV record into a row of cols.
+func readRecords(cr *csv.Reader, cols []schema.Column) ([]schema.Row, error) {
 	var rows []schema.Row
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return rows, nil
 		}
 		if err != nil {
-			tx.Rollback()
-			return 0, fmt.Errorf("engine: csv: %w", err)
+			return nil, fmt.Errorf("engine: csv: %w", err)
 		}
 		if len(rec) != len(cols) {
-			tx.Rollback()
-			return 0, fmt.Errorf("engine: csv record has %d fields, want %d", len(rec), len(cols))
+			return nil, fmt.Errorf("engine: csv record has %d fields, want %d", len(rec), len(cols))
 		}
 		row := make(schema.Row, len(cols))
 		for i, f := range rec {
 			v, err := parseField(f, cols[i].Type)
 			if err != nil {
-				tx.Rollback()
-				return 0, fmt.Errorf("engine: csv field %q: %w", f, err)
+				return nil, fmt.Errorf("engine: csv field %q: %w", f, err)
 			}
 			row[i] = v
 		}
 		rows = append(rows, row)
 	}
-	if err := tx.InsertRows(tab, rows); err != nil {
-		tx.Rollback()
-		return 0, err
+}
+
+// TableRows is one table's batch for AppendRows.
+type TableRows struct {
+	Table string
+	Rows  []schema.Row
+}
+
+// AppendRows appends each batch to its existing table in one
+// transaction: every batch becomes visible at a single commit stamp,
+// and on a durable database they share one WAL frame and one group
+// fsync. Nothing is written when any table is missing or the commit
+// fails. The context bounds lock waits and carries the statement
+// limits (resource.WithLimits) the commit's page-I/O charge runs under.
+func (db *Database) AppendRows(ctx context.Context, batches ...TableRows) error {
+	return db.commitRows(ctx, db.mgr.Begin(), batches)
+}
+
+// commitRows opens each batch's table for write in tx, buffers its
+// rows, and commits; on any error tx rolls back. tx is released either
+// way.
+func (db *Database) commitRows(ctx context.Context, tx *txn.Txn, batches []TableRows) error {
+	defer db.mgr.Release(tx)
+	tx.SetLimits(db.effLimits(ctx))
+	for _, b := range batches {
+		t, ok, err := tx.ForWrite(ctx, b.Table)
+		if err == nil && !ok {
+			err = fmt.Errorf("engine: table %q does not exist", b.Table)
+		}
+		if err == nil {
+			err = tx.InsertRows(t, b.Rows)
+		}
+		if err != nil {
+			tx.Rollback()
+			return err
+		}
 	}
-	if err := tx.Commit(ctx); err != nil {
-		return 0, err
-	}
-	return len(rows), nil
+	return tx.Commit(ctx)
 }
 
 // ExportCSV writes a query result as CSV with a plain column-name header.

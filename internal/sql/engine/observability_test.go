@@ -272,10 +272,12 @@ func TestTxnMetricsExposition(t *testing.T) {
 	}
 
 	// Contention: an autocommit writer on the same table must wait for
-	// the explicit transaction's lock.
+	// the explicit transaction's lock. The baseline is read before the
+	// writer starts, so its queueing is counted however fast it gets
+	// there.
+	waitStart := db.Metrics().LockWaits.Load()
 	done := make(chan error, 1)
 	go func() { _, err := db.Exec("INSERT INTO t VALUES (2)"); done <- err }()
-	waitStart := db.Metrics().LockWaits.Load()
 	deadline := time.Now().Add(5 * time.Second)
 	for db.Metrics().LockWaits.Load() == waitStart {
 		if time.Now().After(deadline) {

@@ -104,7 +104,7 @@ type prepared struct {
 // inside the executor on every execution, so a cached program can never
 // observe a stale catalog; the version stamp only guards the cached
 // semck verdict. (Catalog-dependent plan state, like resolved view
-// bodies, is cached in the executor keyed by storage.Catalog.Version.)
+// bodies, lives beside it in Database.plans, keyed by catalog version.)
 type stmtCache struct {
 	mu        sync.Mutex
 	stmts     clockCache[*prepared] // guarded by mu

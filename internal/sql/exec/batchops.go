@@ -78,10 +78,10 @@ func (rt *Runtime) projectBatched(s *parse.Select, src batchSource, distinct boo
 
 	w := len(fns)
 	var (
-		arena    rowArena
-		outRows  []schema.Row
-		batches  int64
-		rowsIn   int64
+		arena   rowArena
+		outRows []schema.Row
+		batches int64
+		rowsIn  int64
 		seen    map[string]bool
 		scratch schema.Row
 		distBuf []byte

@@ -7,12 +7,75 @@ package exec
 // and a greedy chain from the smallest element wins — but is adopted
 // only when it beats the written order by enough to pay for the
 // column-remap pass that reordering forces. Decisions are cached per
-// statement and invalidated by catalog version or stats epoch.
+// statement in the database's PlanCache and invalidated by catalog
+// version or stats epoch.
 
 import (
+	"sync"
+
 	"minerule/internal/sql/parse"
 	"minerule/internal/sql/storage"
 )
+
+// PlanCache holds the plans the executor derives from the catalog —
+// re-parsed view bodies and cost-based join orders — for every runtime
+// of one database. Each entry carries the keys it was built under and
+// is used only while they still match: catalog version and view text
+// for a view, catalog version and stats epoch for a join order. The
+// cache lives as long as its database, so hit rates do not depend on
+// which pooled runtime a statement happens to get. The zero value is
+// ready to use; it is safe for concurrent use. Cached ASTs are shared
+// read-only, like the statement cache's.
+type PlanCache struct {
+	mu    sync.Mutex
+	views map[string]viewPlan        // guarded by mu; keyed by view name
+	froms map[*parse.Select]fromPlan // guarded by mu; statement-cache pointers are stable
+}
+
+// viewPlan is one cached view resolution.
+type viewPlan struct {
+	version uint64 // catalog version the plan was built under
+	text    string // view text the plan was parsed from
+	sel     *parse.Select
+}
+
+func (c *PlanCache) view(name string, version uint64, text string) (*parse.Select, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.views[name]
+	if !ok || p.version != version || p.text != text {
+		return nil, false
+	}
+	return p.sel, true
+}
+
+func (c *PlanCache) putView(name string, p viewPlan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.views == nil {
+		c.views = make(map[string]viewPlan)
+	}
+	c.views[name] = p
+}
+
+func (c *PlanCache) from(s *parse.Select, version, epoch uint64) ([]int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.froms[s]
+	if !ok || p.version != version || p.epoch != epoch {
+		return nil, false
+	}
+	return p.order, true
+}
+
+func (c *PlanCache) putFrom(s *parse.Select, p fromPlan) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.froms == nil || len(c.froms) >= maxFromPlans {
+		c.froms = make(map[*parse.Select]fromPlan, maxFromPlans)
+	}
+	c.froms[s] = p
+}
 
 // fromElem is one scanned FROM-list element awaiting join planning.
 type fromElem struct {
@@ -38,7 +101,7 @@ type fromPlan struct {
 	order   []int
 }
 
-// maxFromPlans bounds the per-runtime plan cache; statement caches are
+// maxFromPlans bounds the join-order cache; statement caches are
 // bounded upstream, this is a backstop against unbounded ad-hoc SQL.
 const maxFromPlans = 256
 
@@ -62,17 +125,12 @@ func (rt *Runtime) planFromOrder(s *parse.Select, elems []fromElem, conjuncts []
 	if total < planRowsMin {
 		return identity
 	}
-	ver, epoch := rt.tv().CatalogVersion(), rt.tv().StatsEpoch()
-	if p, ok := rt.fromPlans[s]; ok && p.version == ver && p.epoch == epoch {
-		return p.order
+	ver, epoch := rt.Txn.CatalogVersion(), rt.Txn.StatsEpoch()
+	if order, ok := rt.Plans.from(s, ver, epoch); ok {
+		return order
 	}
 	order := costOrder(elems, conjuncts, used, identity)
-	if rt.fromPlans == nil {
-		rt.fromPlans = make(map[*parse.Select]fromPlan)
-	} else if len(rt.fromPlans) >= maxFromPlans {
-		rt.fromPlans = make(map[*parse.Select]fromPlan, maxFromPlans)
-	}
-	rt.fromPlans[s] = fromPlan{version: ver, epoch: epoch, order: order}
+	rt.Plans.putFrom(s, fromPlan{version: ver, epoch: epoch, order: order})
 	return order
 }
 

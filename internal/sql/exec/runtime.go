@@ -13,15 +13,17 @@ import (
 	"minerule/internal/sql/value"
 )
 
-// Runtime executes parsed statements against a catalog.
+// Runtime executes one parsed statement at a time. It holds only
+// per-statement state, so a pool may drop or recycle it freely; what
+// outlives a statement lives on the fields the engine installs.
 type Runtime struct {
-	Cat *storage.Catalog
 	// Txn is the statement's window onto the database: name resolution,
 	// row visibility, mutations, and DDL all flow through it. The engine
-	// installs the statement's transaction here; when nil, tv() lazily
-	// falls back to a direct live view of Cat (the pre-transaction
-	// behavior, kept for Runtimes built outside an engine).
+	// installs the statement's transaction here before every statement.
 	Txn TxnView
+	// Plans is the database's shared cache of catalog-derived plans
+	// (view bodies, join orders); see PlanCache.
+	Plans *PlanCache
 	// Trace, when non-nil, receives one line per executor decision
 	// (scan source, join strategy, index use, …) — the engine's
 	// EXPLAIN ANALYZE facility.
@@ -48,46 +50,15 @@ type Runtime struct {
 	// plan nil every pushOp/popOp is a pointer-comparison no-op.
 	plan *obsv.Span
 
-	// viewPlans caches re-parsed view bodies, keyed by view name. An
-	// entry is valid only while the catalog version and view text it was
-	// built under still match — any DDL invalidates it, so a cached plan
-	// can never read a stale dictionary. No lock: the runtime is
-	// single-threaded by contract (see execSelectEnv).
-	viewPlans map[string]viewPlan
-
 	// rowMode forces the row-at-a-time reference operators instead of
 	// the batched path (see batch.go) — the oracle for the differential
 	// suite and the compatibility baseline.
 	rowMode bool
-
-	// fromPlans caches cost-based FROM-list join orders per SELECT node
-	// (statement-cache pointers are stable); entries are valid only
-	// while catalog version and stats epoch both still match.
-	fromPlans map[*parse.Select]fromPlan
 }
 
 // RowMode switches the runtime to the row-at-a-time reference
 // executor. The batched path is the default.
 func (rt *Runtime) RowMode(on bool) { rt.rowMode = on }
-
-// viewPlan is one cached view resolution.
-type viewPlan struct {
-	version uint64 // catalog version the plan was built under
-	text    string // view text the plan was parsed from
-	sel     *parse.Select
-}
-
-// NewRuntime returns a Runtime over the given catalog.
-func NewRuntime(cat *storage.Catalog) *Runtime { return &Runtime{Cat: cat} }
-
-// tv returns the statement's database view, defaulting to the direct
-// live view of the catalog when no transaction is installed.
-func (rt *Runtime) tv() TxnView {
-	if rt.Txn == nil {
-		rt.Txn = directView{cat: rt.Cat}
-	}
-	return rt.Txn
-}
 
 // pollEvery is how many charged operations pass between context polls;
 // checking ctx.Err on every row would dominate tight scan loops.
@@ -217,13 +188,13 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		for i, c := range x.Cols {
 			cols[i] = schema.Column{Name: c.Name, Type: c.Type}
 		}
-		if _, err := rt.tv().CreateTable(rt.ctx, x.Name, schema.New(x.Name, cols...)); err != nil {
+		if _, err := rt.Txn.CreateTable(rt.ctx, x.Name, schema.New(x.Name, cols...)); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropTable:
-		if err := rt.tv().DropTable(rt.ctx, x.Name); err != nil {
+		if err := rt.Txn.DropTable(rt.ctx, x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -234,31 +205,31 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		if _, err := rt.execSelect(x.Query); err != nil {
 			return nil, fmt.Errorf("exec: invalid view %s: %w", x.Name, err)
 		}
-		if err := rt.tv().CreateView(x.Name, x.Query.SQL()); err != nil {
+		if err := rt.Txn.CreateView(x.Name, x.Query.SQL()); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropView:
-		if err := rt.tv().DropView(x.Name); err != nil {
+		if err := rt.Txn.DropView(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.CreateSequence:
-		if _, err := rt.tv().CreateSequence(x.Name); err != nil {
+		if _, err := rt.Txn.CreateSequence(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropSequence:
-		if err := rt.tv().DropSequence(x.Name); err != nil {
+		if err := rt.Txn.DropSequence(x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.CreateIndex:
-		t, ok := rt.tv().Table(x.Table)
+		t, ok := rt.Txn.Table(x.Table)
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown table %q in CREATE INDEX", x.Table)
 		}
@@ -266,13 +237,13 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := rt.tv().CreateIndex(rt.ctx, x.Name, x.Table, col); err != nil {
+		if _, err := rt.Txn.CreateIndex(rt.ctx, x.Name, x.Table, col); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *parse.DropIndex:
-		if err := rt.tv().DropIndex(rt.ctx, x.Name); err != nil {
+		if err := rt.Txn.DropIndex(rt.ctx, x.Name); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -292,7 +263,7 @@ func (rt *Runtime) Exec(st parse.Statement) (*Result, error) {
 // execUpdate rewrites matching rows in place (assignments see the
 // pre-update row values, per SQL).
 func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +296,7 @@ func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
 		}
 		condFn = fn
 	}
-	old := rt.tv().Rows(t)
+	old := rt.Txn.Rows(t)
 	out := make([]schema.Row, 0, len(old))
 	changed := 0
 	for _, row := range old {
@@ -363,24 +334,24 @@ func (rt *Runtime) execUpdate(x *parse.Update) (*Result, error) {
 		out = append(out, next)
 		changed++
 	}
-	if err := rt.tv().ReplaceRows(t, out); err != nil {
+	if err := rt.Txn.ReplaceRows(t, out); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: changed}, nil
 }
 
 // planView parses a view's stored text back into a SELECT, consulting
-// the runtime's plan cache first. Hits require both the catalog version
-// and the stored text to match the cached entry, so DDL (including
-// dropping and recreating the view under the same name) always forces a
-// re-parse against the current dictionary.
+// the plan cache first. Hits require both the catalog version and the
+// stored text to match the cached entry, so DDL (including dropping and
+// recreating the view under the same name) always forces a re-parse
+// against the current dictionary.
 func (rt *Runtime) planView(v *storage.View) (*parse.Select, error) {
-	ver := rt.tv().CatalogVersion()
-	if p, ok := rt.viewPlans[v.Name]; ok && p.version == ver && p.text == v.Text {
+	ver := rt.Txn.CatalogVersion()
+	if sel, ok := rt.Plans.view(v.Name, ver, v.Text); ok {
 		if m := rt.Met; m != nil {
 			m.ViewPlanHits.Inc()
 		}
-		return p.sel, nil
+		return sel, nil
 	}
 	if m := rt.Met; m != nil {
 		m.ViewPlanMisses.Inc()
@@ -393,10 +364,7 @@ func (rt *Runtime) planView(v *storage.View) (*parse.Select, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: view %s is not a SELECT", v.Name)
 	}
-	if rt.viewPlans == nil {
-		rt.viewPlans = make(map[string]viewPlan)
-	}
-	rt.viewPlans[v.Name] = viewPlan{version: ver, text: v.Text, sel: sel}
+	rt.Plans.putView(v.Name, viewPlan{version: ver, text: v.Text, sel: sel})
 	return sel, nil
 }
 
@@ -425,7 +393,7 @@ func (rt *Runtime) bind(s *schema.Schema) *binding {
 // execInsert evaluates an INSERT, coercing values to the target schema
 // (int→float, string→date) and checking arity and types.
 func (rt *Runtime) execInsert(x *parse.Insert) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +495,7 @@ func (rt *Runtime) execInsert(x *parse.Insert) (*Result, error) {
 		}
 		out = append(out, row)
 	}
-	if err := rt.tv().InsertRows(t, out); err != nil {
+	if err := rt.Txn.InsertRows(t, out); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(out)}, nil
@@ -549,7 +517,7 @@ func coerceForColumn(v value.Value, c schema.Column) (value.Value, error) {
 
 // execDelete removes the rows matching WHERE (all rows when absent).
 func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
-	t, ok, err := rt.tv().ForWrite(rt.ctx, x.Table)
+	t, ok, err := rt.Txn.ForWrite(rt.ctx, x.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -557,8 +525,8 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 		return nil, fmt.Errorf("exec: unknown table %q in DELETE", x.Table)
 	}
 	if x.Where == nil {
-		n := rt.tv().Len(t)
-		if err := rt.tv().ReplaceRows(t, nil); err != nil {
+		n := rt.Txn.Len(t)
+		if err := rt.Txn.ReplaceRows(t, nil); err != nil {
 			return nil, err
 		}
 		return &Result{RowsAffected: n}, nil
@@ -568,7 +536,7 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	old := rt.tv().Rows(t)
+	old := rt.Txn.Rows(t)
 	keep := make([]schema.Row, 0, len(old))
 	removed := 0
 	for _, row := range old {
@@ -589,7 +557,7 @@ func (rt *Runtime) execDelete(x *parse.Delete) (*Result, error) {
 		}
 		keep = append(keep, row)
 	}
-	if err := rt.tv().ReplaceRows(t, keep); err != nil {
+	if err := rt.Txn.ReplaceRows(t, keep); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: removed}, nil

@@ -37,10 +37,12 @@ import (
 //
 // History retention is bounded by the low-water mark — the minimum stamp
 // any registered snapshot holds — which publishers pass to prune.
-// The legacy direct-mutation API (Insert/InsertAll/Truncate/Replace on a
-// bare Table) publishes immediately and retains no history; it serves
-// recovery replay, persistence loads, and tests, which run without
-// concurrent snapshot readers.
+//
+// PublishAppend and PublishReplace are the only way rows reach a table.
+// A transaction's commit calls them at its commit stamp; recovery replay
+// and checkpoint loads call them the same way, at a stamp from the
+// catalog's clock, passing that stamp as the low-water mark because no
+// snapshot reader exists yet to retain history for.
 
 // StampClock issues commit stamps and tracks the published watermark.
 // All methods are safe for concurrent use.
@@ -197,8 +199,9 @@ func (t *Table) LookupAt(ix *Index, key string, stamp uint64) []schema.Row {
 
 // PublishAppend makes a committed batch visible at stamp: the rows are
 // appended to the current generation with a new visibility boundary.
-// The caller (the txn layer) has already journaled the batch and holds
-// the catalog's publish lock; lwm prunes history no snapshot needs.
+// The caller has already journaled the batch (or is replaying it) and
+// holds the catalog's publish lock; lwm prunes history no snapshot
+// needs.
 func (t *Table) PublishAppend(stamp uint64, rs []schema.Row, lwm uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -244,12 +247,23 @@ func (t *Table) pruneLocked(lwm uint64) {
 		drop++
 	}
 	if drop > 0 {
-		t.hist = append(t.hist[:0], t.hist[drop:]...)
+		t.hist = dropFront(t.hist, drop)
 	}
 	for i := range t.hist {
 		t.hist[i].bounds = pruneBounds(t.hist[i].bounds, lwm)
 	}
 	t.bounds = pruneBounds(t.bounds, lwm)
+}
+
+// dropFront removes the first n elements in place and zeroes the slots
+// the shift vacates: a stale copy left past the new length would keep a
+// superseded generation (its rows and indexes) or a superseded name map
+// (every table it names, dropped ones included) reachable until a later
+// append happened to overwrite it.
+func dropFront[T any](s []T, n int) []T {
+	k := copy(s, s[n:])
+	clear(s[k:])
+	return s[:k]
 }
 
 func pruneBounds(bounds []rowBound, lwm uint64) []rowBound {
@@ -261,26 +275,6 @@ func pruneBounds(bounds []rowBound, lwm uint64) []rowBound {
 		return bounds
 	}
 	return append(bounds[:0], bounds[drop:]...)
-}
-
-// stampLocked allocates a commit stamp for a legacy direct mutation.
-// Caller holds t.mu. Detached tables (NewTable, never registered in a
-// catalog) lazily grow a private clock.
-func (t *Table) stampLocked() uint64 {
-	if t.clock == nil {
-		t.clock = &StampClock{}
-	}
-	return t.clock.Next(0)
-}
-
-// publishLegacyLocked finishes a legacy direct mutation: the whole
-// current state becomes visible at stamp and all history is discarded —
-// the legacy API serves recovery replay, persistence loads, and tests,
-// which have no concurrent snapshot readers. Caller holds t.mu.
-func (t *Table) publishLegacyLocked(stamp uint64) {
-	t.hist = nil
-	t.bounds = append(t.bounds[:0], rowBound{stamp: stamp, n: len(t.rows)})
-	t.clock.SetVisible(stamp)
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ func (c *Catalog) PruneHistory(lwm uint64) {
 		drop++
 	}
 	if drop > 0 {
-		c.past = append(c.past[:0], c.past[drop:]...)
+		c.past = dropFront(c.past, drop)
 	}
 	c.mu.Unlock()
 }

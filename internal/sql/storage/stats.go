@@ -36,8 +36,8 @@ type TableStats struct {
 const kmvK = 256
 
 // statsStale reports whether a statistics snapshot taken at refreshed
-// rows no longer describes a table of cur rows: any shrink (Truncate,
-// Replace, DELETE) and any growth beyond 20% + 64 rows force a refresh.
+// rows no longer describes a table of cur rows: any shrink (a DELETE or
+// UPDATE rewrite published by PublishReplace) and any growth beyond 20% + 64 rows force a refresh.
 // The slack keeps trickle inserts from rescanning the table per
 // statement while bounding how far the row estimate can drift.
 func statsStale(cur, refreshed int) bool {

@@ -14,35 +14,56 @@ func testSchema() *schema.Schema {
 		schema.Column{Name: "b", Type: value.TypeString})
 }
 
+// publish puts rows into a table the way a commit does: under the
+// catalog's publish lock, at a fresh stamp from its clock, through
+// PublishAppend (PublishReplace when replace is set). No snapshot is
+// registered, so the stamp is also the low-water mark.
+func publish(c *Catalog, t *Table, replace bool, rows ...schema.Row) {
+	c.LockPublish()
+	defer c.UnlockPublish()
+	stamp := c.Stamps().Next(0)
+	if replace {
+		t.PublishReplace(stamp, rows, stamp)
+	} else {
+		t.PublishAppend(stamp, rows, stamp)
+	}
+	c.Stamps().SetVisible(stamp)
+}
+
+// liveLen is the table's row count at the catalog's watermark.
+func liveLen(c *Catalog, t *Table) int { return t.LenAt(c.Stamps().Visible()) }
+
 func TestTableBasics(t *testing.T) {
+	c := NewCatalog()
 	tab := NewTable("t", testSchema())
-	if tab.Name() != "t" || tab.Len() != 0 {
+	if tab.Name() != "t" || liveLen(c, tab) != 0 {
 		t.Fatal("fresh table state wrong")
 	}
-	tab.Insert(schema.Row{value.NewInt(1), value.NewString("x")})
-	tab.InsertAll([]schema.Row{
-		{value.NewInt(2), value.NewString("y")},
-		{value.NewInt(3), value.NewString("z")},
-	})
-	if tab.Len() != 3 {
-		t.Fatalf("len = %d", tab.Len())
+	publish(c, tab, false, schema.Row{value.NewInt(1), value.NewString("x")})
+	publish(c, tab, false,
+		schema.Row{value.NewInt(2), value.NewString("y")},
+		schema.Row{value.NewInt(3), value.NewString("z")},
+	)
+	if liveLen(c, tab) != 3 {
+		t.Fatalf("len = %d", liveLen(c, tab))
 	}
 	snap := tab.Snapshot()
 	if len(snap) != 3 || snap[2][0].Int() != 3 {
 		t.Fatalf("snapshot = %v", snap)
 	}
 	// Appends after a snapshot must not disturb it.
-	tab.Insert(schema.Row{value.NewInt(4), value.NewString("w")})
+	publish(c, tab, false, schema.Row{value.NewInt(4), value.NewString("w")})
 	if len(snap) != 3 {
 		t.Fatal("snapshot grew")
 	}
-	tab.Truncate()
-	if tab.Len() != 0 {
+	publish(c, tab, true)
+	if liveLen(c, tab) != 0 {
 		t.Fatal("truncate failed")
 	}
 }
 
 func TestTableConcurrentInsert(t *testing.T) {
+	c := NewCatalog()
 	tab := NewTable("t", testSchema())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -50,13 +71,13 @@ func TestTableConcurrentInsert(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tab.Insert(schema.Row{value.NewInt(int64(i)), value.Null})
+				publish(c, tab, false, schema.Row{value.NewInt(int64(i)), value.Null})
 			}
 		}()
 	}
 	wg.Wait()
-	if tab.Len() != 1600 {
-		t.Fatalf("len = %d", tab.Len())
+	if liveLen(c, tab) != 1600 {
+		t.Fatalf("len = %d", liveLen(c, tab))
 	}
 }
 
@@ -172,10 +193,11 @@ func TestDropMissing(t *testing.T) {
 
 // TestConcurrentSnapshotAndInsert pins down the two aliasing contracts
 // readers depend on (run under -race): a Snapshot is a stable prefix
-// that concurrent InsertAll calls never move or mutate, and an index
+// that concurrent PublishAppend calls never move or mutate, and an index
 // Lookup taken mid-append only ever surfaces fully-inserted rows whose
 // indexed column actually matches the key.
 func TestConcurrentSnapshotAndInsert(t *testing.T) {
+	c := NewCatalog()
 	tab := NewTable("t", testSchema())
 	ix, err := tab.CreateIndex("t_a", 0)
 	if err != nil {
@@ -228,20 +250,58 @@ func TestConcurrentSnapshotAndInsert(t *testing.T) {
 			rows[i] = mk(next)
 			next++
 		}
-		if err := tab.InsertAll(rows); err != nil {
-			t.Fatal(err)
-		}
+		publish(c, tab, false, rows...)
 	}
 	close(done)
 	wg.Wait()
-	if tab.Len() != batches*batchSize {
-		t.Fatalf("Len = %d, want %d", tab.Len(), batches*batchSize)
+	if liveLen(c, tab) != batches*batchSize {
+		t.Fatalf("Len = %d, want %d", liveLen(c, tab), batches*batchSize)
 	}
 	// Every bucket is complete once the writers stop.
 	for a := 0; a < 8; a++ {
 		got := len(tab.Lookup(ix, value.NewInt(int64(a)).Key()))
 		if got != batches*batchSize/8 {
 			t.Fatalf("bucket %d has %d rows, want %d", a, got, batches*batchSize/8)
+		}
+	}
+}
+
+// TestPruneReleasesSupersededState checks that pruning zeroes the slots
+// it vacates: a superseded name map left past the history's length
+// keeps every table it names reachable — dropped ones with all their
+// rows — and a superseded row generation keeps its rows and indexes.
+func TestPruneReleasesSupersededState(t *testing.T) {
+	c := NewCatalog()
+	c.EnableHistory()
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := c.CreateTable(name, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.past) != 3 {
+		t.Fatalf("history holds %d states after three DDLs, want 3", len(c.past))
+	}
+	c.PruneHistory(c.Stamps().Visible())
+	if len(c.past) != 0 {
+		t.Fatalf("history holds %d states after pruning to the watermark", len(c.past))
+	}
+	for i, p := range c.past[:cap(c.past)] {
+		if p.tabs != nil {
+			t.Errorf("pruned name-map slot %d still references %d table(s)", i, len(p.tabs))
+		}
+	}
+
+	tab, _ := c.Table("a")
+	row := schema.Row{value.NewInt(1), value.NewString("x")}
+	tab.PublishReplace(10, []schema.Row{row}, 0)
+	tab.PublishReplace(11, []schema.Row{row, row}, 0)
+	tab.PublishAppend(12, nil, 12)
+	if len(tab.hist) != 0 {
+		t.Fatalf("table keeps %d superseded generations past the low-water mark", len(tab.hist))
+	}
+	for i, g := range tab.hist[:cap(tab.hist)] {
+		if g.rows != nil || g.indexes != nil {
+			t.Errorf("pruned generation slot %d still references its rows or indexes", i)
 		}
 	}
 }
